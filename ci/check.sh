@@ -19,6 +19,13 @@ cargo build --release --offline
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> cargo clippy --offline (e2ebench) -- -D warnings"
+# The end-to-end benchmark is a package of its own, outside the
+# workspace, that replays the service through the crates' public API;
+# linting it here makes an API change that breaks the replay fail this
+# gate rather than the benchmark run.
+cargo clippy --offline --manifest-path e2ebench/Cargo.toml -- -D warnings
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

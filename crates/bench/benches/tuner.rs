@@ -48,17 +48,19 @@ fn bench_gain_evaluation(c: &mut Criterion) {
 }
 
 fn bench_full_decision(c: &mut Criterion) {
-    // A realistic catalog (500 indexes) with a populated history.
+    // A realistic catalog (500 indexes) and history: 550 dataflows
+    // inside the default 120-quantum window (the paper-gain-lp service
+    // run peaks at 544 history entries), each using 5 indexes.
     let setup = ExperimentSetup::new(ExperimentParams::default());
     let mut tuner = OnlineTuner::new(model());
-    for k in 0..50u32 {
+    for k in 0..550u32 {
         let mut gains = BTreeMap::new();
         for i in 0..5 {
             gains.insert(IndexId((k * 7 + i) % 500), (2.0, 3.0));
         }
         tuner.history.record(HistoryEntry {
             dataflow: DataflowId(k),
-            finished_at: SimTime::from_secs(60 * k as u64),
+            finished_at: SimTime::from_secs(13 * k as u64),
             index_gains: gains,
         });
     }
@@ -66,7 +68,7 @@ fn bench_full_decision(c: &mut Criterion) {
     c.bench_function("tuner/decide_500_indexes", |b| {
         b.iter(|| {
             tuner.decide(
-                black_box(SimTime::from_secs(60 * 50)),
+                black_box(SimTime::from_secs(13 * 550)),
                 &setup.catalog,
                 &[&current],
             )

@@ -364,7 +364,7 @@ impl<K: NodeKey> BPlusTree<K> {
         let page = Page::new(kind, self.epoch, payload)
             // flowtune-allow(panic-hygiene): an encoded node exceeding one page means the configured order is too large for the key width — a construction-time configuration error, not a runtime condition; every supported (order, key type) pair is pinned by tests
             .expect("node must fit one page: order too large for this key type");
-        self.pool.borrow_mut().write(id, &page);
+        self.pool.borrow_mut().write(id, page);
         self.memo_node(id, Rc::new(node.clone()));
     }
 

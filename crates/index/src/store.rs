@@ -142,7 +142,7 @@ impl IndexPageStore {
         let ids: Vec<PageId> = (0..n).map(|_| self.pool.allocate()).collect();
         for (i, id) in ids.iter().take(written).enumerate() {
             let page = Self::image_page(index, part, epoch, i);
-            self.pool.write(*id, &page);
+            self.pool.write(*id, page);
         }
         // The frames of a dead container do not survive into recovery.
         for id in &ids {
@@ -157,7 +157,7 @@ impl IndexPageStore {
     /// persistent store and verify checksum + epoch. `None` when no
     /// image exists for `(index, part)`.
     pub fn verify_partition(&mut self, index: IndexId, part: u32) -> Option<PartitionVerdict> {
-        let image = self.parts.get(&(index, part))?.clone();
+        let image = self.parts.get(&(index, part))?;
         let mut bad_pages = Vec::new();
         for id in &image.pages {
             let verdict = self.pool.check(*id, image.epoch);
@@ -210,7 +210,7 @@ impl IndexPageStore {
         let ids: Vec<PageId> = (0..n).map(|_| self.pool.allocate()).collect();
         for (i, id) in ids.iter().enumerate() {
             let page = Self::image_page(index, part, epoch, i);
-            self.pool.write(*id, &page);
+            self.pool.write(*id, page);
         }
         self.parts.insert(
             (index, part),
@@ -319,7 +319,7 @@ mod tests {
         // Splice an internally-consistent page from the *old* epoch
         // into the new image: checksum passes, epoch must not.
         let spliced = IndexPageStore::image_page(IndexId(6), 0, old_epoch, 0);
-        store.pool.write(image.pages[0], &spliced);
+        store.pool.write(image.pages[0], spliced);
         store.pool.evict(image.pages[0]);
         let verdict = store.verify_partition(IndexId(6), 0).unwrap();
         assert_eq!(

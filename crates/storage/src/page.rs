@@ -5,7 +5,7 @@
 //! header:
 //!
 //! ```text
-//! bytes  0..8   FNV-1a 64 checksum over bytes 8..PAGE_SIZE
+//! bytes  0..8   checksum64 over bytes 8..PAGE_SIZE
 //! bytes  8..12  epoch (u32 LE) — stamp of the build that wrote the page
 //! byte   12     kind tag (node type / image payload)
 //! byte   13     reserved (zero)
@@ -33,14 +33,47 @@ pub const PAGE_HEADER: usize = 16;
 /// Maximum payload bytes a single page can carry.
 pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_HEADER;
 
-/// FNV-1a 64-bit checksum (in-repo: the workspace has a strict
-/// zero-external-dependency policy, and FNV is strong enough to catch
-/// the byte flips and truncations the fault injector produces).
+/// Odd multiplier of every checksum step (the 64-bit FNV prime).
+const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Start values of the four checksum lanes (distinct, so the lanes
+/// never start in lock-step).
+const CHECKSUM_LANES: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+];
+
+/// Page checksum: a word-at-a-time multiplicative fold over four
+/// independent lanes (in-repo: the workspace has a strict
+/// zero-external-dependency policy).
+///
+/// Each 32-byte block feeds one little-endian `u64` word to each lane
+/// as `lane = (lane ^ word) * CHECKSUM_PRIME`; the lanes are then
+/// folded into one value by the same step, and the tail bytes (fewer
+/// than 32) are mixed in one at a time. Every step is a bijection both
+/// in the value it updates and in the word (or byte) it consumes —
+/// XOR with a fixed value permutes, and multiplying by an odd number
+/// permutes `u64` — so changing any one input byte changes exactly
+/// one step's input and, through the chain of bijections after it,
+/// the final sum: any single-byte flip is detected.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut lanes = CHECKSUM_LANES;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            *lane = (*lane ^ u64::from_le_bytes(w)).wrapping_mul(CHECKSUM_PRIME);
+        }
+    }
+    let mut hash = lanes[0];
+    for &lane in &lanes[1..] {
+        hash = (hash ^ lane).wrapping_mul(CHECKSUM_PRIME);
+    }
+    for &b in blocks.remainder() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(CHECKSUM_PRIME);
     }
     hash
 }
@@ -117,20 +150,25 @@ impl Page {
     /// to compare against the committed partition epoch.
     pub fn decode(bytes: &[u8]) -> Result<Page> {
         match Self::check_raw(bytes) {
-            PageCheck::Clean => {}
-            defect => {
-                return Err(FlowtuneError::corrupt(format!(
-                    "page failed verification: {defect:?}"
-                )))
-            }
+            PageCheck::Clean => Ok(Self::decode_verified(bytes)),
+            defect => Err(FlowtuneError::corrupt(format!(
+                "page failed verification: {defect:?}"
+            ))),
         }
+    }
+
+    /// Decode bytes that already passed [`Page::check`] (or
+    /// `check_raw`) without checksumming them again. The caller
+    /// guarantees a [`PAGE_SIZE`] frame whose length field is at most
+    /// [`PAGE_PAYLOAD`] — both part of every clean verdict.
+    pub(crate) fn decode_verified(bytes: &[u8]) -> Page {
         let epoch = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
         let len = usize::from(u16::from_le_bytes([bytes[14], bytes[15]]));
-        Ok(Page {
+        Page {
             epoch,
             kind: bytes[12],
             payload: bytes[PAGE_HEADER..PAGE_HEADER + len].to_vec(),
-        })
+        }
     }
 
     /// Verify raw bytes without an epoch expectation.
@@ -253,6 +291,7 @@ impl PageStore for MemPageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtune_common::SimRng;
 
     #[test]
     fn encode_decode_round_trip() {
@@ -284,6 +323,44 @@ mod tests {
                 "flip at byte {i} went undetected"
             );
         }
+    }
+
+    #[test]
+    fn random_pages_catch_every_flip_and_truncation() {
+        let mut rng = SimRng::seed_from_u64(0x5eed_c0de);
+        for _ in 0..6 {
+            let len = rng.uniform_u64(0, PAGE_PAYLOAD as u64 + 1) as usize;
+            let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let epoch = rng.next_u64() as u32;
+            let kind = rng.next_u64() as u8;
+            let clean = Page::new(kind, epoch, payload).unwrap().encode();
+            assert_eq!(Page::check(Some(&clean), epoch), PageCheck::Clean);
+            for i in 0..PAGE_SIZE {
+                let mut flipped = clean.clone();
+                flipped[i] ^= rng.uniform_u64(1, 256) as u8;
+                assert_eq!(
+                    Page::check(Some(&flipped), epoch),
+                    PageCheck::ChecksumMismatch,
+                    "flip at byte {i} of a {len}-byte page went undetected"
+                );
+            }
+            for keep in 0..PAGE_SIZE {
+                assert_eq!(
+                    Page::check(Some(&clean[..keep]), epoch),
+                    PageCheck::SizeMismatch
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum64_known_answers() {
+        // Pinned so that any change to the page checksum (and with it
+        // the on-store page format) is a deliberate one.
+        let ramp: Vec<u8> = (0..PAGE_SIZE - 8).map(|i| i as u8).collect();
+        assert_eq!(checksum64(&[]), 0x689f_d832_8174_21c0);
+        assert_eq!(checksum64(b"flowtune"), 0xefc2_b0d4_89bc_22e6);
+        assert_eq!(checksum64(&ramp), 0xb84c_476d_c5b9_3bc0);
     }
 
     #[test]

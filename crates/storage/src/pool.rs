@@ -4,9 +4,10 @@
 //! page, persists it to the backing store, and caches the *decoded*
 //! page; reads serve from the cache when possible and fall back to a
 //! store read (decode + checksum verification) on a miss. Checksums
-//! are therefore verified exactly once per store read — a hit is a
-//! cheap clone of an already-verified frame, which is what keeps
-//! indexed range scans ahead of raw column scans. Eviction is driven
+//! are verified exactly once per store read — on a miss and in
+//! [`BufferPool::check`] alike — and a hit is a cheap clone of an
+//! already-verified frame, which is what keeps indexed range scans
+//! ahead of raw column scans. Eviction is driven
 //! by the byte-accounted [`LruCache`] with one frame per page, so
 //! hit/miss/eviction order depends only on the access sequence —
 //! never on hash iteration order or wall-clock time.
@@ -14,8 +15,9 @@
 //! Verification ([`BufferPool::check`]) deliberately bypasses the
 //! cache: a recovery scan must judge what the *persistent* store
 //! holds, because a crash loses buffered memory while leaving torn
-//! bytes behind. A page that verifies clean is (re)cached so the
-//! probes that follow a successful scan hit warm frames.
+//! bytes behind. A page that verifies clean is (re)cached, built from
+//! the bytes just verified, so the probes that follow a successful
+//! scan hit warm frames.
 //!
 //! All pool traffic is counted through `flowtune-obs` from this single
 //! site (`storage.pool_hits` / `storage.pool_misses` /
@@ -68,12 +70,12 @@ impl<S: PageStore> BufferPool<S> {
         self.store.allocate()
     }
 
-    /// Encode `page`, persist it, and cache the decoded page.
-    pub fn write(&mut self, id: PageId, page: &Page) {
+    /// Encode `page`, persist it, and cache it as the decoded frame.
+    pub fn write(&mut self, id: PageId, page: Page) {
         self.store.write(id, page.encode());
         self.stats.page_writes += 1;
         flowtune_obs::count("storage.page_writes", 1);
-        self.cache_frame(id, page.clone());
+        self.cache_frame(id, page);
     }
 
     /// Read and decode a page, serving from the cache when possible.
@@ -105,17 +107,19 @@ impl<S: PageStore> BufferPool<S> {
 
     /// Verify one page against `expected_epoch`, reading the backing
     /// store directly (never trusting buffered frames — see module
-    /// docs). A clean page refreshes the cache.
+    /// docs). A clean page refreshes the cache from the bytes the
+    /// check just verified: one store read, one checksum.
     pub fn check(&mut self, id: PageId, expected_epoch: u32) -> PageCheck {
         self.stats.page_reads += 1;
         flowtune_obs::count("storage.page_reads", 1);
-        let verdict = Page::check(self.store.read(id), expected_epoch);
-        if verdict.is_clean() {
-            if let Some(page) = self.store.read(id).and_then(|b| Page::decode(b).ok()) {
+        let bytes = self.store.read(id);
+        let verdict = Page::check(bytes, expected_epoch);
+        match bytes {
+            Some(bytes) if verdict.is_clean() => {
+                let page = Page::decode_verified(bytes);
                 self.cache_frame(id, page);
             }
-        } else {
-            self.evict(id);
+            _ => self.evict(id),
         }
         verdict
     }
@@ -187,7 +191,7 @@ mod tests {
     fn write_then_read_hits_the_cache() {
         let mut pool = BufferPool::new(MemPageStore::new(), 8);
         let id = pool.allocate();
-        pool.write(id, &page(1, 0xAA));
+        pool.write(id, page(1, 0xAA));
         assert_eq!(pool.read(id).unwrap(), page(1, 0xAA));
         let s = pool.stats();
         assert_eq!(
@@ -202,7 +206,7 @@ mod tests {
         let ids: Vec<_> = (0..3)
             .map(|i| {
                 let id = pool.allocate();
-                pool.write(id, &page(1, i));
+                pool.write(id, page(1, i));
                 id
             })
             .collect();
@@ -220,7 +224,7 @@ mod tests {
     fn check_bypasses_cached_frames() {
         let mut pool = BufferPool::new(MemPageStore::new(), 8);
         let id = pool.allocate();
-        pool.write(id, &page(7, 0x01));
+        pool.write(id, page(7, 0x01));
         // Corrupt the persistent bytes while the cached frame stays
         // clean: verification must see the store, not the cache.
         pool.store_mut().corrupt(id, 100);
@@ -234,7 +238,7 @@ mod tests {
     fn clean_check_warms_the_cache() {
         let mut pool = BufferPool::new(MemPageStore::new(), 8);
         let id = pool.allocate();
-        pool.write(id, &page(3, 0x02));
+        pool.write(id, page(3, 0x02));
         pool.evict(id);
         assert_eq!(pool.check(id, 3), PageCheck::Clean);
         let before = pool.stats();
@@ -248,7 +252,7 @@ mod tests {
     fn epoch_mismatch_is_detected() {
         let mut pool = BufferPool::new(MemPageStore::new(), 8);
         let id = pool.allocate();
-        pool.write(id, &page(4, 0x03));
+        pool.write(id, page(4, 0x03));
         assert_eq!(pool.check(id, 5), PageCheck::EpochMismatch);
         assert_eq!(pool.check(PageId(999), 5), PageCheck::Missing);
     }
@@ -257,7 +261,7 @@ mod tests {
     fn free_removes_from_store_and_cache() {
         let mut pool = BufferPool::new(MemPageStore::new(), 8);
         let id = pool.allocate();
-        pool.write(id, &page(1, 0x04));
+        pool.write(id, page(1, 0x04));
         pool.free(id);
         assert!(pool.read(id).is_err());
         assert_eq!(pool.store().page_count(), 0);
