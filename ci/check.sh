@@ -84,6 +84,18 @@ cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
 diff -u tests/golden/trace_smoke.jsonl "$scratch/trace.jsonl"
 diff -u tests/golden/metrics_smoke.json "$scratch/metrics.json"
 
+echo "==> e2ebench outcome smoke (recorded outcomes, traced replay)"
+# One traced pass per workload at the recorded seed 7. Each run exits 1
+# when a service outcome differs from e2ebench/expected.txt, when the
+# benchmark's replay of the service does not reconcile with the real
+# run, or when interleaving changes a live round's makespan or leased
+# quanta. The last stdout line is the JSON result; its first three
+# fields are the verdict.
+for workload in paper-gain-lp faults-online; do
+  cargo run -q --release --offline --manifest-path e2ebench/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds 1 --trace 1 | tail -n 1 | cut -d, -f1-3
+done
+
 echo "==> flowtune-analyze (workspace invariants, JSON report vs baseline)"
 # The machine-readable report gates the tree against the committed
 # baseline: only findings absent from ANALYZE_baseline.json fail the

@@ -100,8 +100,10 @@ fn waiver_budget_is_pinned() {
         // crates/tuner/src/candidates.rs fire outside the pinned smoke
         // trace. +4 panic-hygiene: documented invariants in the
         // composite index/query layer (tuple.rs, composite.rs, multi.rs).
+        // -1 panic-hygiene: the service's lane choice no longer needs an
+        // `expect`.
         ("obs-discipline", 15),
-        ("panic-hygiene", 27),
+        ("panic-hygiene", 26),
     ]
     .into_iter()
     .map(|(r, n)| (r.to_owned(), n))
