@@ -76,6 +76,20 @@ cargo run -q --offline --release -p flowtune-bench --bin exp_table6_composite --
   --smoke > "$scratch/table6_composite.txt"
 diff -u tests/golden/table6_composite_smoke.txt "$scratch/table6_composite.txt"
 
+echo "==> results/ freshness (deterministic experiment outputs vs a fresh run)"
+# Every experiment binary with a recorded output is rerun in full and
+# diffed against results/, so a change that moves an experiment's
+# numbers cannot land without regenerating the file (and reconciling
+# EXPERIMENTS.md). exp_table6_speedups is skipped: it reports wall-clock
+# speedups, which differ on every run. exp_table6_composite has no
+# results/ file; its smoke output is diffed above.
+for result in results/exp_*.txt; do
+  bin="$(basename "$result" .txt)"
+  [ "$bin" = exp_table6_speedups ] && continue
+  cargo run -q --offline --release -p flowtune-bench --bin "$bin" > "$scratch/$bin.txt"
+  diff -u "$result" "$scratch/$bin.txt"
+done
+
 echo "==> observability golden trace (smoke)"
 cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
   --quanta 4 --seed 1 --concurrency 1 \
@@ -91,7 +105,7 @@ echo "==> e2ebench outcome smoke (recorded outcomes, traced replay)"
 # run, or when interleaving changes a live round's makespan or leased
 # quanta. The last stdout line is the JSON result; its first three
 # fields are the verdict.
-for workload in paper-gain-lp faults-online; do
+for workload in paper-gain-lp no-index faults-online; do
   cargo run -q --release --offline --manifest-path e2ebench/Cargo.toml -- \
     --workload "$workload" --seed 7 --seconds 1 --trace 1 | tail -n 1 | cut -d, -f1-3
 done

@@ -220,3 +220,77 @@ fn equivalent_on_zero_duration_and_tight_quantum_edge_cases() {
     assert_identical(&dag, &config, &[], "edge:plain");
     assert_identical(&dag, &config, &optional, "edge:optional");
 }
+
+/// Run `schedule()` under a fresh recorder; returns the skyline with
+/// the `sched.parallel_steps` and `sched.steps` counters (`None` when
+/// observability is compiled out).
+fn schedule_counting(sched: &SkylineScheduler, dag: &Dag) -> (Vec<Schedule>, Option<(u64, u64)>) {
+    flowtune_obs::install();
+    let skyline = sched.schedule(dag);
+    let counters = flowtune_obs::uninstall().map(|rec| {
+        let m = rec.metrics();
+        (m.counter("sched.parallel_steps"), m.counter("sched.steps"))
+    });
+    (skyline, counters)
+}
+
+#[test]
+fn pool_engaging_mid_run_is_equivalent() {
+    // The first steps have a handful of candidates; the threshold of
+    // 40 is reached partway through, where the pool is spawned and the
+    // rest of the search resumes through it. The output must not show
+    // the switch.
+    let dag = app_dag(App::Montage, 100, 0xEE);
+    let optional = optional_ops(24, 0xEF);
+    let seq = SkylineScheduler::new(SchedulerConfig {
+        max_skyline: 8,
+        expand_threads: 1,
+        ..SchedulerConfig::default()
+    });
+    for threads in [2usize, 3, 4] {
+        let config = SchedulerConfig {
+            max_skyline: 8,
+            expand_threads: threads,
+            expand_threshold: 40,
+            ..SchedulerConfig::default()
+        };
+        assert_identical(&dag, &config, &[], &format!("montage:mid{threads}"));
+        assert_identical(
+            &dag,
+            &config,
+            &optional,
+            &format!("montage:mid{threads}:optional"),
+        );
+        let par = SkylineScheduler::new(config);
+        let (got, counters) = schedule_counting(&par, &dag);
+        assert_eq!(got, seq.schedule(&dag), "montage:mid{threads}: diverged");
+        assert_eq!(
+            par.schedule_with_optional(&dag, &optional),
+            seq.schedule_with_optional(&dag, &optional),
+            "montage:mid{threads}: diverged with optional ops"
+        );
+        if let Some((parallel, steps)) = counters {
+            assert!(
+                0 < parallel && parallel < steps,
+                "pool must engage partway: {parallel} parallel of {steps} steps"
+            );
+        }
+    }
+}
+
+#[test]
+fn pool_stays_idle_below_the_threshold() {
+    // Several threads configured, but no step reaches the default
+    // threshold: no step may go through the pool.
+    let dag = app_dag(App::Montage, 30, 0xF0);
+    let sched = SkylineScheduler::new(SchedulerConfig {
+        expand_threads: 4,
+        ..SchedulerConfig::default()
+    });
+    let (got, counters) = schedule_counting(&sched, &dag);
+    assert!(!got.is_empty());
+    if let Some((parallel, steps)) = counters {
+        assert_eq!(steps, dag.len() as u64);
+        assert_eq!(parallel, 0, "pool engaged below the threshold");
+    }
+}

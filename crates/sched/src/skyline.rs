@@ -23,19 +23,31 @@
 //! * **Cached objectives.** [`Partial::money`] carries the billed
 //!   quanta; assigning an operator changes only the touched container's
 //!   lease contribution, so the objective is a subtract/add instead of
-//!   an O(containers) rescan inside every sort comparator.
+//!   an O(containers) rescan. [`Partial::lease`] keeps each container's
+//!   lease bounds as quantum indices, so a candidate's new lease costs
+//!   one division (its start time) and the idle tie-break none.
 //!   [`Partial::gap_internal`] keeps, per container, the longest idle
 //!   gap strictly before the billing tail; the idle tie-break becomes
 //!   an O(containers) fold instead of re-collecting and re-sorting all
 //!   assignments, and is memoized per candidate within one reduction.
 //! * **Delta expansion.** A candidate expansion is a [`Cand`]: parent
 //!   index plus a [`Delta`] and the already-computed objective values.
-//!   The reduction (sort, tie-collapse, dominance, width cap) runs
-//!   entirely on candidates; only the survivors — at most
-//!   `max_skyline` per step, not width × containers — are materialized
-//!   into full [`Partial`] clones. The `sched.partials_expanded` /
+//!   The reduction runs entirely on candidates; only the survivors — at
+//!   most `max_skyline` per step, not width × containers — are
+//!   materialized. The `sched.partials_expanded` /
 //!   `sched.partial_clone_bytes` counters (vs `sched.candidates`)
 //!   record the clones this avoids.
+//! * **Front-first reduction.** One linear pass finds the weakly
+//!   Pareto-minimal distinct `(makespan, money)` keys; the tie-break
+//!   then runs only over candidates holding those keys, in generation
+//!   order. That is exactly what sorting stably by key, collapsing each
+//!   key group and dropping dominated groups computed: the stable sort
+//!   kept generation order inside a group, and a dominated group never
+//!   reached the front whichever member won its tie-break.
+//! * **Reused buffers.** Survivors are written over the previous
+//!   step's partials with `clone_from`, so the per-container vectors
+//!   keep their capacity from step to step instead of being allocated
+//!   afresh for every survivor.
 //! * **Split assignment lists.** Dataflow assignments are append-only
 //!   and kept apart from the preemptible optional (build) tail ops, so
 //!   preempting an optional op never rewrites dataflow history; the
@@ -61,7 +73,9 @@
 //!   [`ExpandPool`] shards the flattened candidate index space across
 //!   workers in fixed contiguous ranges and concatenates the results
 //!   in shard order — the candidate vector is byte-identical to the
-//!   sequential enumeration for every thread count.
+//!   sequential enumeration for every thread count. The pool is spawned
+//!   lazily, at the first step that reaches the threshold: a call whose
+//!   steps all stay below it never pays for a thread spawn and join.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -91,7 +105,8 @@ pub struct SchedulerConfig {
     pub expand_threads: usize,
     /// Minimum candidates in one step before the worker pool engages;
     /// below it the per-step channel round-trip costs more than the
-    /// expansion itself.
+    /// expansion itself. The pool is spawned at the first step of a
+    /// call that reaches this count, and not at all if none does.
     pub expand_threshold: usize,
 }
 
@@ -128,11 +143,18 @@ pub struct SkylineScheduler {
     pub config: SchedulerConfig,
 }
 
-/// Billed quanta for one container's dataflow span.
-fn lease_quanta(s: SimTime, e: SimTime, quantum: SimDuration) -> u64 {
-    let lease_start = s.quantum_floor(quantum);
-    let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
-    (lease_end - lease_start).as_millis() / quantum.as_millis()
+/// Lease bounds of one container's dataflow span `[s, e]` as quantum
+/// indices: the quantum holding `s`, and the first boundary at or after
+/// `e` but at least one quantum past the start — a container whose only
+/// ops are zero-duration is still billed one quantum.
+fn lease_bounds(s: SimTime, e: SimTime, quantum: SimDuration) -> (u64, u64) {
+    let lo = s.quantum_index(quantum);
+    (lo, e.as_millis().div_ceil(quantum.as_millis()).max(lo + 1))
+}
+
+/// The instant of quantum boundary `index`.
+fn boundary(index: u64, quantum: SimDuration) -> SimTime {
+    SimTime::from_millis(index * quantum.as_millis())
 }
 
 /// Per-op placement record: end time of the op and the container it ran
@@ -161,9 +183,21 @@ const OP_CHUNK: usize = 64;
 /// shrink the clone to a pointer table (`n_ops / 64` words) — an
 /// assignment touches exactly one chunk, so `Arc::make_mut` copies at
 /// most 1 KiB no matter how large the DAG is.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpState {
     chunks: Vec<Arc<[OpSlot; OP_CHUNK]>>,
+}
+
+impl Clone for OpState {
+    fn clone(&self) -> Self {
+        OpState {
+            chunks: self.chunks.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.chunks.clone_from(&source.chunks);
+    }
 }
 
 impl OpState {
@@ -199,10 +233,24 @@ const ASG_CHUNK: usize = 32;
 /// only appended to — so full chunks are frozen behind `Arc` and shared
 /// by every descendant; a clone copies the pointer table plus the small
 /// mutable tail instead of the whole history.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct AsgList {
     frozen: Vec<Arc<[Assignment; ASG_CHUNK]>>,
     tail: Vec<Assignment>,
+}
+
+impl Clone for AsgList {
+    fn clone(&self) -> Self {
+        AsgList {
+            frozen: self.frozen.clone(),
+            tail: self.tail.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.frozen.clone_from(&source.frozen);
+        self.tail.clone_from(&source.tail);
+    }
 }
 
 impl AsgList {
@@ -232,7 +280,7 @@ impl AsgList {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Partial {
     /// Dataflow assignments, in assignment (topological-step) order.
     /// Append-only: preemption never touches this list.
@@ -246,6 +294,9 @@ pub(crate) struct Partial {
     container_free: Vec<SimTime>,
     /// Span of *dataflow* ops per container (billing basis).
     container_span: Vec<(SimTime, SimTime)>,
+    /// Cache: [`lease_bounds`] of each container's span, so neither the
+    /// money delta nor the idle tie-break divides by the quantum again.
+    lease: Vec<(u64, u64)>,
     /// Next free time per container counting optional (build) tail ops.
     opt_free: Vec<SimTime>,
     /// Cache: per container, the longest idle gap strictly before the
@@ -268,6 +319,40 @@ pub(crate) struct Partial {
     skeleton: u64,
 }
 
+/// Field-wise, so that [`Clone::clone_from`] keeps the destination's
+/// vector capacity — the derived impl would allocate every vector anew.
+impl Clone for Partial {
+    fn clone(&self) -> Self {
+        Partial {
+            dataflow: self.dataflow.clone(),
+            optional: self.optional.clone(),
+            container_free: self.container_free.clone(),
+            container_span: self.container_span.clone(),
+            lease: self.lease.clone(),
+            opt_free: self.opt_free.clone(),
+            gap_internal: self.gap_internal.clone(),
+            ops: self.ops.clone(),
+            makespan: self.makespan,
+            money: self.money,
+            skeleton: self.skeleton,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.dataflow.clone_from(&source.dataflow);
+        self.optional.clone_from(&source.optional);
+        self.container_free.clone_from(&source.container_free);
+        self.container_span.clone_from(&source.container_span);
+        self.lease.clone_from(&source.lease);
+        self.opt_free.clone_from(&source.opt_free);
+        self.gap_internal.clone_from(&source.gap_internal);
+        self.ops.clone_from(&source.ops);
+        self.makespan = source.makespan;
+        self.money = source.money;
+        self.skeleton = source.skeleton;
+    }
+}
+
 impl Partial {
     pub(crate) fn new(n_ops: usize) -> Self {
         Partial {
@@ -275,6 +360,7 @@ impl Partial {
             optional: Vec::new(),
             container_free: Vec::new(),
             container_span: Vec::new(),
+            lease: Vec::new(),
             opt_free: Vec::new(),
             gap_internal: Vec::new(),
             ops: OpState::new(n_ops),
@@ -297,7 +383,10 @@ impl Partial {
         self.container_span
             .iter()
             .filter(|(s, e)| e >= s)
-            .map(|&(s, e)| lease_quanta(s, e, quantum))
+            .map(|&(s, e)| {
+                let (lo, hi) = lease_bounds(s, e, quantum);
+                hi - lo
+            })
             .sum()
     }
 
@@ -406,12 +495,14 @@ impl Partial {
 /// How a [`Cand`] differs from its parent partial.
 #[derive(Debug, Clone, Copy)]
 enum Delta {
-    /// Assign dataflow op `op` to `container` over `[start, end)`.
+    /// Assign dataflow op `op` to `container` over `[start, end)`;
+    /// `lease` is the container's [`lease_bounds`] afterwards.
     Dataflow {
         op: OpId,
         container: usize,
         start: SimTime,
         end: SimTime,
+        lease: (u64, u64),
     },
     /// Place optional build op `op` on `container` over `[start, end)`.
     Optional {
@@ -440,21 +531,45 @@ struct Cand {
     idle: Option<SimDuration>,
 }
 
+/// The dataflow op one search step assigns, with what every candidate
+/// of the step shares: its runtime, split into whole quanta and a
+/// remainder so that a candidate's lease end needs no division of its
+/// own, and its precomputed per-predecessor transfer durations.
+struct StepOp<'a> {
+    op: OpId,
+    runtime: SimDuration,
+    run_quanta: u64,
+    run_rem: u64,
+    xfer: &'a [(OpId, SimDuration)],
+}
+
+impl<'a> StepOp<'a> {
+    fn new(sched: &SkylineScheduler, dag: &Dag, op: OpId, xfer: &'a [(OpId, SimDuration)]) -> Self {
+        let runtime = dag.op(op).runtime;
+        let q = sched.config.quantum.as_millis();
+        StepOp {
+            op,
+            runtime,
+            run_quanta: runtime.as_millis() / q,
+            run_rem: runtime.as_millis() % q,
+            xfer,
+        }
+    }
+}
+
 /// One container's contribution to the idle tie-break: its longest
 /// internal gap or its billing-tail gap, zero for an empty span. The
 /// same fold step [`Partial::idle_cached`] runs per container.
 fn container_idle(
-    quantum: SimDuration,
     s: SimTime,
     e: SimTime,
     free: SimTime,
     gap: SimDuration,
+    lease_end: SimTime,
 ) -> SimDuration {
     if e <= s {
         return SimDuration::ZERO;
     }
-    let lease_start = s.quantum_floor(quantum);
-    let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
     let mut v = gap;
     if lease_end > free {
         v = v.max(lease_end - free);
@@ -490,7 +605,8 @@ impl IdleTops {
             second: SimDuration::ZERO,
         };
         for (c, &(s, e)) in p.container_span.iter().enumerate() {
-            let v = container_idle(quantum, s, e, p.container_free[c], p.gap_internal[c]);
+            let lease_end = boundary(p.lease[c].1, quantum);
+            let v = container_idle(s, e, p.container_free[c], p.gap_internal[c], lease_end);
             if v > tops.best {
                 tops.second = tops.best;
                 tops.best = v;
@@ -501,6 +617,55 @@ impl IdleTops {
         }
         tops
     }
+}
+
+/// The state of one `schedule()` call's search, carried across steps —
+/// and across the switch to the worker pool when a step first reaches
+/// the expansion threshold.
+#[derive(Default)]
+struct Search {
+    /// The current skyline, shared with the pool's workers during a
+    /// parallel step.
+    skyline: Arc<Vec<Partial>>,
+    /// The previous skyline, overwritten by the next materialization so
+    /// its vectors' capacity is reused.
+    spare: Arc<Vec<Partial>>,
+    /// Next assignment step (index into the topological order).
+    step: usize,
+    /// Optional ops offered so far.
+    next_opt: usize,
+    /// The step's candidates, in generation order.
+    cands: Vec<Cand>,
+    /// The reduction's survivors.
+    survivors: Vec<Cand>,
+    /// Reduction scratch: the front's keys by ascending makespan.
+    keys: Vec<(SimDuration, u64)>,
+    /// Reduction scratch: the tie-break winner of each front key.
+    winners: Vec<Option<Cand>>,
+    /// Reduction scratch: each parent's idle memo, computed lazily.
+    tops: Vec<Option<IdleTops>>,
+}
+
+impl Search {
+    fn new(n_ops: usize) -> Self {
+        Search {
+            skyline: Arc::new(vec![Partial::new(n_ops)]),
+            ..Search::default()
+        }
+    }
+}
+
+/// How [`SkylineScheduler::run_steps`] expands a step whose candidate
+/// count reaches the threshold.
+#[derive(Clone, Copy)]
+enum Expand<'a> {
+    /// One expansion thread: always inline.
+    Inline,
+    /// Several threads but no pool yet: stop before the step, so the
+    /// caller can spawn the pool and resume.
+    Spawn,
+    /// Through the running pool.
+    Pool(&'a ExpandPool),
 }
 
 impl SkylineScheduler {
@@ -537,16 +702,28 @@ impl SkylineScheduler {
             })
             .collect();
         let threads = self.effective_expand_threads();
-        let mut skyline = if threads > 1 {
-            // The worker pool lives for the whole schedule() call —
-            // per-step thread spawning would cost more than the steps.
+        let mut search = Search::new(dag.len());
+        // The worker pool lives from the first step that needs it to
+        // the end of the call: spawning and joining it costs more than
+        // a whole small schedule, so a call that never reaches the
+        // threshold never spawns it, and one that does spawns it once.
+        let expand = if threads > 1 {
+            Expand::Spawn
+        } else {
+            Expand::Inline
+        };
+        if !self.run_steps(&mut search, dag, optional, &order, &pred_xfer, expand) {
             std::thread::scope(|scope| {
                 let pool = ExpandPool::spawn(scope, threads, self, dag, &pred_xfer);
-                self.run_steps(dag, optional, &order, &pred_xfer, Some(&pool))
-            })
-        } else {
-            self.run_steps(dag, optional, &order, &pred_xfer, None)
-        };
+                let expand = Expand::Pool(&pool);
+                self.run_steps(&mut search, dag, optional, &order, &pred_xfer, expand);
+            });
+        }
+        // The workers dropped their handles before reporting their last
+        // shard, so the unwrap is ordinarily free; the fallback clone
+        // keeps this panic-free regardless.
+        let mut skyline =
+            Arc::try_unwrap(search.skyline).unwrap_or_else(|shared| shared.as_ref().clone());
         skyline.sort_by_key(|p| (p.makespan, p.money));
         skyline.into_iter().map(Partial::into_schedule).collect()
     }
@@ -575,108 +752,93 @@ impl SkylineScheduler {
         }
     }
 
-    /// The assignment main loop: expand (sequentially or through the
-    /// pool), reduce, materialize, interleave optional offers.
+    /// The assignment main loop from `search.step` on: expand (inline
+    /// or through the pool), reduce, materialize, interleave optional
+    /// offers. Returns `false` — with the search untouched since the
+    /// last completed step — when `expand` is [`Expand::Spawn`] and a
+    /// step reaches the expansion threshold; `true` once every step and
+    /// every optional offer is done.
     fn run_steps(
         &self,
+        search: &mut Search,
         dag: &Dag,
         optional: &[OptionalOp],
         order: &[OpId],
         pred_xfer: &[Vec<(OpId, SimDuration)>],
-        pool: Option<&ExpandPool>,
-    ) -> Vec<Partial> {
+        expand: Expand,
+    ) -> bool {
         let n = order.len();
-        let mut skyline = Arc::new(vec![Partial::new(dag.len())]);
-        // Offer optional ops evenly across the assignment steps.
-        let mut next_opt = 0usize;
-        for (step, &op) in order.iter().enumerate() {
-            // Candidate-count prefix offsets per parent; the final
-            // entry is the step's total candidate count. Shared with
-            // the workers so a flattened candidate index maps to its
-            // (parent, container) pair.
-            let mut offsets: Vec<usize> = Vec::with_capacity(skyline.len() + 1);
-            let mut total = 0usize;
-            for p in skyline.iter() {
-                offsets.push(total);
-                total += self.candidate_containers(p);
-            }
-            offsets.push(total);
-            let xfer = &pred_xfer[op.index()];
-            // Expand every partial with every candidate container —
-            // as cheap deltas, not clones.
-            let cands: Vec<Cand> = match pool {
-                Some(pool) if total >= self.config.expand_threshold => {
+        while search.step < n {
+            let step = search.step;
+            let op = order[step];
+            let total: usize = search
+                .skyline
+                .iter()
+                .map(|p| self.candidate_containers(p))
+                .sum();
+            let ctx = StepOp::new(self, dag, op, &pred_xfer[op.index()]);
+            search.cands.clear();
+            // Expand every partial with every candidate container — as
+            // cheap deltas, not clones.
+            match expand {
+                Expand::Spawn if total >= self.config.expand_threshold => return false,
+                Expand::Pool(pool) if total >= self.config.expand_threshold => {
                     // flowtune-allow(obs-discipline): the pool engages only above the candidate threshold, which the smoke workload never reaches
                     flowtune_obs::count("sched.parallel_steps", 1);
-                    pool.expand(self, dag, xfer, &skyline, op, offsets)
+                    pool.expand(self, &ctx, &search.skyline, &mut search.cands);
                 }
                 _ => {
-                    let mut cands = Vec::with_capacity(total);
-                    for (pi, p) in skyline.iter().enumerate() {
+                    search.cands.reserve(total);
+                    for (pi, p) in search.skyline.iter().enumerate() {
                         for c in 0..self.candidate_containers(p) {
-                            cands.push(self.dataflow_cand(p, pi, dag, op, xfer, c));
+                            search.cands.push(self.dataflow_cand(p, pi, &ctx, c));
                         }
                     }
-                    cands
                 }
-            };
-            let generated = cands.len();
-            let survivors = self.reduce(&skyline, cands);
-            skyline = Arc::new(self.materialize_all(&skyline, &survivors));
+            }
+            let generated = search.cands.len();
+            self.reduce_and_materialize(search);
+            let width = search.skyline.len();
             flowtune_obs::obs_event!(
                 "sched.step",
                 step = step,
                 op = op.0,
                 candidates = generated,
-                width = skyline.len(),
+                width = width,
             );
             flowtune_obs::count("sched.steps", 1);
             flowtune_obs::count("sched.candidates", generated as u64);
-            flowtune_obs::count(
-                "sched.pruned",
-                generated.saturating_sub(skyline.len()) as u64,
-            );
-            flowtune_obs::observe("sched.skyline_width", skyline.len() as f64);
+            flowtune_obs::count("sched.pruned", generated.saturating_sub(width) as u64);
+            flowtune_obs::observe("sched.skyline_width", width as f64);
+            search.step += 1;
             // Offer a proportional share of the optional queue.
-            let opt_until = optional.len() * (step + 1) / n;
-            while next_opt < opt_until {
-                skyline = Arc::new(self.offer_optional(&skyline, &optional[next_opt]));
-                next_opt += 1;
+            let opt_until = optional.len() * search.step / n;
+            while search.next_opt < opt_until {
+                self.offer_optional(search, &optional[search.next_opt]);
+                search.next_opt += 1;
             }
         }
-        while next_opt < optional.len() {
-            skyline = Arc::new(self.offer_optional(&skyline, &optional[next_opt]));
-            next_opt += 1;
+        while search.next_opt < optional.len() {
+            self.offer_optional(search, &optional[search.next_opt]);
+            search.next_opt += 1;
         }
-        // The workers dropped their handles when their last job ended,
-        // so the unwrap is ordinarily free; the fallback clone keeps
-        // this panic-free regardless.
-        Arc::try_unwrap(skyline).unwrap_or_else(|shared| shared.as_ref().clone())
+        true
     }
 
     fn transfer_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.config.network_bandwidth)
     }
 
-    /// Evaluate assigning `op` to container `c` of `p` without cloning
-    /// anything: placement times from the predecessor caches, money from
-    /// the touched container's lease delta, the skeleton hash folded
-    /// forward, and the optional-op count after preemption. `xfer` is
-    /// the op's precomputed per-predecessor transfer-duration list.
-    fn dataflow_cand(
-        &self,
-        p: &Partial,
-        parent: usize,
-        dag: &Dag,
-        op: OpId,
-        xfer: &[(OpId, SimDuration)],
-        c: usize,
-    ) -> Cand {
-        let quantum = self.config.quantum;
+    /// Evaluate assigning the step's op to container `c` of `p` without
+    /// cloning anything: placement times from the predecessor caches,
+    /// money from the touched container's lease delta, the skeleton hash
+    /// folded forward, and the optional-op count after preemption.
+    fn dataflow_cand(&self, p: &Partial, parent: usize, step: &StepOp, c: usize) -> Cand {
+        let quantum = self.config.quantum.as_millis();
         let fresh = c == p.container_free.len();
         // Data-ready: every predecessor done, plus transfer when remote.
         let mut ready = SimTime::ZERO;
-        for &(pred, dt) in xfer {
+        for &(pred, dt) in step.xfer {
             let slot = p.ops.get(pred.index());
             let mut t = slot.end;
             if slot.container != c as u32 {
@@ -693,16 +855,29 @@ impl SkylineScheduler {
             p.container_free[c]
         };
         let start = ready.max(free);
-        let end = start + dag.op(op).runtime;
-        // Only container `c`'s lease contribution changes.
-        let money = if fresh {
-            p.money + lease_quanta(start, end, quantum)
+        let end = start + step.runtime;
+        // The lease end `ceil(end / quantum)` from the start's quotient
+        // and remainder plus the runtime's precomputed split: the two
+        // remainders sum to under two quanta, so they carry 0, 1 or 2.
+        let (start_q, start_r) = (start.as_millis() / quantum, start.as_millis() % quantum);
+        let carry = start_r + step.run_rem;
+        let end_q = start_q + step.run_quanta + u64::from(carry > 0) + u64::from(carry > quantum);
+        // Only container `c`'s lease contribution changes. On a used
+        // container the op starts no earlier than the container's last
+        // op ended, so the lease start stays put and only its end moves.
+        let (lease, money) = if fresh {
+            let lease = (start_q, end_q.max(start_q + 1));
+            (lease, p.money + (lease.1 - lease.0))
         } else {
-            let (s, e) = p.container_span[c];
-            p.money - lease_quanta(s, e, quantum) + lease_quanta(s.min(start), e.max(end), quantum)
+            debug_assert!(start >= p.container_span[c].0);
+            let (lo, hi) = p.lease[c];
+            (
+                (lo, hi.max(end_q)),
+                p.money - (hi - lo) + (hi.max(end_q) - lo),
+            )
         };
         let mut skeleton = p.skeleton;
-        for word in [op.0 as u64, c as u64, start.as_millis()] {
+        for word in [step.op.0 as u64, c as u64, start.as_millis()] {
             skeleton ^= word;
             skeleton = skeleton.wrapping_mul(0x1000_0000_01b3);
         }
@@ -715,10 +890,11 @@ impl SkylineScheduler {
         Cand {
             parent,
             delta: Delta::Dataflow {
-                op,
+                op: step.op,
                 container: c,
                 start,
                 end,
+                lease,
             },
             makespan: p.makespan.max(end - SimTime::ZERO),
             money,
@@ -736,31 +912,30 @@ impl SkylineScheduler {
     /// the tie-break only sees dataflow ops.
     fn cand_idle(&self, tops: IdleTops, p: &Partial, delta: &Delta) -> SimDuration {
         let quantum = self.config.quantum;
-        let (oc, ostart, oend) = match *delta {
+        let (oc, ostart, oend, (lo, hi)) = match *delta {
             Delta::Dataflow {
                 container,
                 start,
                 end,
+                lease,
                 ..
-            } => (container, start, end),
+            } => (container, start, end, lease),
             // The parent's best contribution IS its `idle_cached` value.
             Delta::Optional { .. } | Delta::Keep => return tops.best,
         };
-        let used = p.container_free.len();
         // Contribution of the touched container after the assignment.
-        let (s, e, free, gap) = if oc == used {
+        let (s, e, gap) = if oc == p.container_free.len() {
             // Fresh container: head gap from the lease start.
-            (ostart, oend, oend, ostart - ostart.quantum_floor(quantum))
+            (ostart, oend, ostart - boundary(lo, quantum))
         } else {
             let (ps, pe) = p.container_span[oc];
             (
                 ps.min(ostart),
                 pe.max(oend),
-                oend,
                 p.gap_internal[oc].max(ostart - p.container_free[oc]),
             )
         };
-        let touched = container_idle(quantum, s, e, free, gap);
+        let touched = container_idle(s, e, oend, gap, boundary(hi, quantum));
         // Max over the untouched containers: the parent's best, unless
         // the touched container held it — then the runner-up.
         let others = if oc == tops.best_c {
@@ -771,30 +946,29 @@ impl SkylineScheduler {
         touched.max(others)
     }
 
-    /// Materialize a surviving candidate: one clone of its parent plus
-    /// the delta — the only place the search copies a partial.
-    fn materialize(&self, parent: &Partial, cand: &Cand) -> Partial {
-        flowtune_obs::count("sched.partials_expanded", 1);
-        flowtune_obs::count("sched.partial_clone_bytes", parent.heap_bytes() as u64);
-        let mut q = parent.clone();
+    /// Turn a copy of a surviving candidate's parent into the candidate
+    /// by applying its delta.
+    fn apply(&self, q: &mut Partial, cand: &Cand) {
         match cand.delta {
             Delta::Dataflow {
                 op,
                 container: c,
                 start,
                 end,
+                lease,
             } => {
                 let fresh = c == q.container_free.len();
                 if fresh {
                     q.container_free.push(SimTime::ZERO);
                     q.container_span.push((SimTime::MAX, SimTime::ZERO));
+                    q.lease.push(lease);
                     q.opt_free.push(SimTime::ZERO);
                     q.gap_internal.push(SimDuration::ZERO);
                 }
                 // Extend the idle-gap cache: the gap this op leaves
                 // behind it is final (later ops start no earlier).
                 let gap = if fresh {
-                    start - start.quantum_floor(self.config.quantum)
+                    start - boundary(lease.0, self.config.quantum)
                 } else {
                     start - q.container_free[c]
                 };
@@ -815,6 +989,11 @@ impl SkylineScheduler {
                 q.opt_free[c] = q.opt_free[c].max(end);
                 let (s, e) = q.container_span[c];
                 q.container_span[c] = (s.min(start), e.max(end));
+                q.lease[c] = lease;
+                debug_assert_eq!(
+                    lease,
+                    lease_bounds(s.min(start), e.max(end), self.config.quantum)
+                );
                 q.ops.set(
                     op.index(),
                     OpSlot {
@@ -848,33 +1027,64 @@ impl SkylineScheduler {
         q.skeleton = cand.skeleton;
         debug_assert_eq!(q.money, q.money_quanta(self.config.quantum));
         debug_assert_eq!(q.optional_count(), cand.optional_count);
+    }
+
+    /// Count one survivor materialization (a clone of `parent`).
+    fn count_clone(parent: &Partial) {
+        flowtune_obs::count("sched.partials_expanded", 1);
+        flowtune_obs::count("sched.partial_clone_bytes", parent.heap_bytes() as u64);
+    }
+
+    /// Materialize a surviving candidate into a fresh partial: one clone
+    /// of its parent plus the delta.
+    #[cfg(test)]
+    fn materialize(&self, parent: &Partial, cand: &Cand) -> Partial {
+        Self::count_clone(parent);
+        let mut q = parent.clone();
+        self.apply(&mut q, cand);
         q
     }
 
-    fn materialize_all(&self, skyline: &[Partial], survivors: &[Cand]) -> Vec<Partial> {
-        survivors
-            .iter()
-            .map(|cand| self.materialize(&skyline[cand.parent], cand))
-            .collect()
+    /// Reduce the step's candidates and make the survivors the new
+    /// skyline. Each survivor is cloned over a partial of the previous
+    /// skyline (`clone_from`, capacity reused) — the only place the
+    /// search copies a partial.
+    fn reduce_and_materialize(&self, search: &mut Search) {
+        self.reduce(search);
+        // The pool's workers release their skyline handles before
+        // reporting, so the spare is unshared here and `make_mut` does
+        // not clone it.
+        debug_assert_eq!(Arc::strong_count(&search.spare), 1);
+        let out = Arc::make_mut(&mut search.spare);
+        out.truncate(search.survivors.len());
+        for (i, cand) in search.survivors.iter().enumerate() {
+            let parent = &search.skyline[cand.parent];
+            Self::count_clone(parent);
+            match out.get_mut(i) {
+                Some(q) => q.clone_from(parent),
+                None => out.push(parent.clone()),
+            }
+            self.apply(&mut out[i], cand);
+        }
+        std::mem::swap(&mut search.skyline, &mut search.spare);
     }
 
     /// Union each partial with versions that place `opt` on some
     /// container's free tail inside the current leased span.
-    fn offer_optional(&self, skyline: &[Partial], opt: &OptionalOp) -> Vec<Partial> {
+    fn offer_optional(&self, search: &mut Search, opt: &OptionalOp) {
         let quantum = self.config.quantum;
-        let mut cands: Vec<Cand> = Vec::with_capacity(skyline.len() * 2);
-        for (pi, p) in skyline.iter().enumerate() {
+        search.cands.clear();
+        for (pi, p) in search.skyline.iter().enumerate() {
             for c in 0..p.container_free.len() {
                 let (s, e) = p.container_span[c];
                 if e <= s {
                     continue;
                 }
-                let lease_start = s.quantum_floor(quantum);
-                let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
+                let lease_end = boundary(p.lease[c].1, quantum);
                 let start = p.opt_free[c].max(p.container_free[c]);
                 let end = start + opt.duration;
                 if end <= lease_end {
-                    cands.push(Cand {
+                    search.cands.push(Cand {
                         parent: pi,
                         delta: Delta::Optional {
                             op: *opt,
@@ -891,8 +1101,8 @@ impl SkylineScheduler {
                 }
             }
         }
-        for (pi, p) in skyline.iter().enumerate() {
-            cands.push(Cand {
+        for (pi, p) in search.skyline.iter().enumerate() {
+            search.cands.push(Cand {
                 parent: pi,
                 delta: Delta::Keep,
                 makespan: p.makespan,
@@ -902,104 +1112,141 @@ impl SkylineScheduler {
                 idle: None,
             });
         }
-        let survivors = self.reduce(skyline, cands);
-        self.materialize_all(skyline, &survivors)
+        self.reduce_and_materialize(search);
     }
 
-    /// Skyline reduction over candidates: collapse equal (time, money)
-    /// groups with the tie-break (most sequential idle, then — between
-    /// identical dataflow skeletons — more optional operators), drop
-    /// dominated candidates, cap the width. Runs entirely on deltas;
-    /// the tie-break value is computed lazily and memoized per
-    /// candidate.
-    fn reduce(&self, skyline: &[Partial], mut cands: Vec<Cand>) -> Vec<Cand> {
-        let quantum = self.config.quantum;
-        cands.sort_by_key(|c| (c.makespan, c.money));
-        // Lazy per-parent top-2 idle memo: computed once for a parent
-        // the first time one of its candidates hits a tie.
-        let mut tops: Vec<Option<IdleTops>> = vec![None; skyline.len()];
-        // Collapse ties.
-        let mut collapsed: Vec<Cand> = Vec::new();
-        for mut p in cands {
-            match collapsed.last_mut() {
-                Some(last) if last.makespan == p.makespan && last.money == p.money => {
-                    // Primary tie-break: most sequential idle over the
-                    // dataflow skeleton (as the plain scheduler). Only
-                    // between skeleton-equivalent candidates does the
-                    // optional-operator count decide (§5.3.2).
-                    let (pp, pd) = (p.parent, p.delta);
-                    let p_idle = *p.idle.get_or_insert_with(|| {
-                        let t =
-                            *tops[pp].get_or_insert_with(|| IdleTops::of(&skyline[pp], quantum));
-                        self.cand_idle(t, &skyline[pp], &pd)
-                    });
-                    let (lp, ld) = (last.parent, last.delta);
-                    let last_idle = *last.idle.get_or_insert_with(|| {
-                        let t =
-                            *tops[lp].get_or_insert_with(|| IdleTops::of(&skyline[lp], quantum));
-                        self.cand_idle(t, &skyline[lp], &ld)
-                    });
-                    let better = match p_idle.cmp(&last_idle) {
-                        std::cmp::Ordering::Greater => {
-                            flowtune_obs::count("sched.tiebreak_idle", 1);
-                            true
-                        }
-                        std::cmp::Ordering::Less => false,
-                        // The operator count only decides between
-                        // *identical* dataflow skeletons; across different
-                        // skeletons we keep the incumbent exactly as the
-                        // plain scheduler would, so offering optional ops
-                        // never changes how the front evolves.
-                        std::cmp::Ordering::Equal => {
-                            let wins = p.skeleton == last.skeleton
-                                && p.optional_count > last.optional_count;
-                            if wins {
-                                // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
-                                flowtune_obs::count("sched.tiebreak_optcount", 1);
-                            }
-                            wins
-                        }
-                    };
-                    if better {
+    /// The tie-break value of `c`, memoized in the candidate and its
+    /// parent's [`IdleTops`] in `tops`.
+    fn tie_idle(
+        &self,
+        skyline: &[Partial],
+        tops: &mut [Option<IdleTops>],
+        c: &mut Cand,
+    ) -> SimDuration {
+        let (pi, delta) = (c.parent, c.delta);
+        *c.idle.get_or_insert_with(|| {
+            let t =
+                *tops[pi].get_or_insert_with(|| IdleTops::of(&skyline[pi], self.config.quantum));
+            self.cand_idle(t, &skyline[pi], &delta)
+        })
+    }
+
+    /// Whether candidate `p` beats `last`, the current holder of the
+    /// same key: most sequential idle over the dataflow skeleton (as
+    /// the plain scheduler), and only between skeleton-equivalent
+    /// candidates more optional operators (§5.3.2).
+    fn wins_tie(
+        &self,
+        skyline: &[Partial],
+        tops: &mut [Option<IdleTops>],
+        p: &mut Cand,
+        last: &mut Cand,
+    ) -> bool {
+        let p_idle = self.tie_idle(skyline, tops, p);
+        let last_idle = self.tie_idle(skyline, tops, last);
+        match p_idle.cmp(&last_idle) {
+            std::cmp::Ordering::Greater => {
+                flowtune_obs::count("sched.tiebreak_idle", 1);
+                true
+            }
+            std::cmp::Ordering::Less => false,
+            // The operator count only decides between *identical*
+            // dataflow skeletons; across different skeletons we keep
+            // the incumbent exactly as the plain scheduler would, so
+            // offering optional ops never changes how the front evolves.
+            std::cmp::Ordering::Equal => {
+                let wins = p.skeleton == last.skeleton && p.optional_count > last.optional_count;
+                if wins {
+                    // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
+                    flowtune_obs::count("sched.tiebreak_optcount", 1);
+                }
+                wins
+            }
+        }
+    }
+
+    /// Skyline reduction of `search.cands` into `search.survivors`,
+    /// front first:
+    ///
+    /// 1. One pass keeps the weakly Pareto-minimal distinct
+    ///    `(makespan, money)` keys — those no other distinct key
+    ///    matches or beats in both objectives — sorted by makespan.
+    /// 2. A second pass in generation order folds each front key's
+    ///    candidates through the tie-break; every other candidate is
+    ///    skipped without evaluating its tie-break value.
+    /// 3. The width cap keeps the extremes and an even spread.
+    ///
+    /// The survivors are those of sorting stably by key, collapsing
+    /// each key group with the tie-break and dropping dominated groups
+    /// (the `reduce_sorted` oracle of the tests): the sort kept each
+    /// group in generation order, and a dominated group was dropped
+    /// whichever of its members won.
+    fn reduce(&self, search: &mut Search) {
+        let Search {
+            skyline,
+            cands,
+            survivors,
+            keys,
+            winners,
+            tops,
+            ..
+        } = search;
+        let skyline: &[Partial] = skyline;
+        // 1. The front: makespans strictly increase along `keys` and
+        // money strictly decreases, so the key with the largest
+        // makespan not above a candidate's holds the lowest money any
+        // front key of no greater makespan has.
+        keys.clear();
+        for c in cands.iter() {
+            let key = (c.makespan, c.money);
+            let at = keys.partition_point(|&(m, _)| m <= key.0);
+            if at > 0 && keys[at - 1].1 <= key.1 {
+                continue; // matched or dominated
+            }
+            // It joins the front and evicts the keys it dominates: the
+            // run of keys from its makespan on whose money is no lower.
+            let from = keys.partition_point(|&(m, _)| m < key.0);
+            let to = from + keys[from..].partition_point(|&(_, money)| money >= key.1);
+            if from == to {
+                keys.insert(from, key);
+            } else {
+                keys[from] = key;
+                keys.drain(from + 1..to);
+            }
+        }
+        // 2. Tie-break over the front keys' candidates, in generation
+        // order (memos are per reduction).
+        winners.clear();
+        winners.resize(keys.len(), None);
+        tops.clear();
+        tops.resize(skyline.len(), None);
+        for &c in cands.iter() {
+            let at = keys.partition_point(|&(m, _)| m < c.makespan);
+            if keys.get(at) != Some(&(c.makespan, c.money)) {
+                continue;
+            }
+            let mut p = c;
+            match &mut winners[at] {
+                Some(last) => {
+                    if self.wins_tie(skyline, tops, &mut p, last) {
                         *last = p;
                     }
                 }
-                _ => collapsed.push(p),
+                empty => *empty = Some(p),
             }
         }
-        // Drop dominated: sorted by time asc, keep strictly decreasing money.
-        let mut front: Vec<Cand> = Vec::new();
-        let mut best_money = u64::MAX;
-        for p in collapsed {
-            if p.money < best_money {
-                best_money = p.money;
-                front.push(p);
-            }
-        }
-        // Cap width, keeping extremes and an even spread. A cap of one
-        // keeps the fastest schedule (the even-spread index formula
+        // 3. Cap width, keeping extremes and an even spread. A cap of
+        // one keeps the fastest schedule (the even-spread index formula
         // divides by `max_skyline - 1`).
-        if front.len() > self.config.max_skyline {
-            if self.config.max_skyline <= 1 {
-                front.truncate(self.config.max_skyline);
-                return front;
-            }
-            let n = front.len();
-            let keep: Vec<usize> = (0..self.config.max_skyline)
-                .map(|i| i * (n - 1) / (self.config.max_skyline - 1))
-                .collect();
-            let mut kept = Vec::with_capacity(self.config.max_skyline);
-            let mut front_iter = front.into_iter().enumerate();
-            let mut keep_iter = keep.into_iter().peekable();
-            for (i, p) in front_iter.by_ref() {
-                if keep_iter.peek() == Some(&i) {
-                    kept.push(p);
-                    keep_iter.next();
-                }
-            }
-            front = kept;
+        let (n, cap) = (winners.len(), self.config.max_skyline);
+        survivors.clear();
+        if n <= cap {
+            survivors.extend(winners.iter().flatten());
+        } else if cap <= 1 {
+            survivors.extend(winners[..cap].iter().flatten());
+        } else {
+            survivors.extend((0..cap).filter_map(|i| winners[i * (n - 1) / (cap - 1)]));
         }
-        front
     }
 
     /// Per-predecessor transfer durations for one op (the list
@@ -1017,7 +1264,7 @@ impl SkylineScheduler {
     #[cfg(test)]
     pub(crate) fn assign_dataflow_op(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Partial {
         let xfer = self.op_xfer(dag, op);
-        let cand = self.dataflow_cand(p, 0, dag, op, &xfer, c);
+        let cand = self.dataflow_cand(p, 0, &StepOp::new(self, dag, op, &xfer), c);
         self.materialize(p, &cand)
     }
 }
@@ -1036,15 +1283,16 @@ struct ExpandJob {
 
 /// Deterministic parallel candidate expansion (DESIGN §5i).
 ///
-/// Workers are spawned once per `schedule()` call inside a
-/// `std::thread::scope` and fed one contiguous shard of the step's
-/// flattened candidate index space each. Because the shards partition
-/// `0..total` in worker order and the results are concatenated in the
-/// same order, the candidate vector is byte-identical to the
-/// sequential enumeration — for any thread count, on any machine. The
-/// workers never touch observability (the recorder is thread-local to
-/// the caller) and never mutate shared state: they read the skyline
-/// snapshot and return owned `Cand` vectors.
+/// Workers are spawned inside a `std::thread::scope` at the first step
+/// of a `schedule()` call that reaches the expansion threshold, and fed
+/// one contiguous shard of each such step's flattened candidate index
+/// space. Because the shards partition `0..total` in worker order and
+/// the results are concatenated in the same order, the candidate vector
+/// is byte-identical to the sequential enumeration — for any thread
+/// count, on any machine. The workers never touch observability (the
+/// recorder is thread-local to the caller) and never mutate shared
+/// state: they read the skyline snapshot and return owned `Cand`
+/// vectors, dropping the snapshot before they do.
 struct ExpandPool {
     jobs: Vec<mpsc::Sender<ExpandJob>>,
     results: mpsc::Receiver<(usize, Vec<Cand>)>,
@@ -1072,13 +1320,17 @@ impl ExpandPool {
             let result_tx = result_tx.clone();
             scope.spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    let xfer = &pred_xfer[job.op.index()];
+                    let step = StepOp::new(sched, dag, job.op, &pred_xfer[job.op.index()]);
                     let mut out = Vec::with_capacity(job.hi - job.lo);
                     for k in job.lo..job.hi {
                         let pi = parent_of(&job.offsets, k);
                         let c = k - job.offsets[pi];
-                        out.push(sched.dataflow_cand(&job.skyline[pi], pi, dag, job.op, xfer, c));
+                        out.push(sched.dataflow_cand(&job.skyline[pi], pi, &step, c));
                     }
+                    // Release the snapshot before reporting: once every
+                    // shard is in, the caller overwrites that skyline's
+                    // buffers in place, which needs the only handle.
+                    drop(job);
                     if result_tx.send((w, out)).is_err() {
                         break;
                     }
@@ -1091,20 +1343,26 @@ impl ExpandPool {
         ExpandPool { jobs, results }
     }
 
-    /// Expand one step's candidates across the pool. Always returns
-    /// the full, ordered candidate vector: any shard a worker failed to
+    /// Expand one step's candidates across the pool, appending them to
+    /// `cands` in generation order. Any shard a worker failed to
     /// deliver (unreachable in practice — the workers run pure
     /// computation) is recomputed inline.
     fn expand(
         &self,
         sched: &SkylineScheduler,
-        dag: &Dag,
-        xfer: &[(OpId, SimDuration)],
+        step: &StepOp,
         skyline: &Arc<Vec<Partial>>,
-        op: OpId,
-        offsets: Vec<usize>,
-    ) -> Vec<Cand> {
-        let total = offsets.last().copied().unwrap_or(0);
+        cands: &mut Vec<Cand>,
+    ) {
+        // Candidate-count prefix offsets per parent; the final entry is
+        // the step's total candidate count.
+        let mut offsets: Vec<usize> = Vec::with_capacity(skyline.len() + 1);
+        let mut total = 0usize;
+        for p in skyline.iter() {
+            offsets.push(total);
+            total += sched.candidate_containers(p);
+        }
+        offsets.push(total);
         let threads = self.jobs.len();
         let chunk = total.div_ceil(threads.max(1));
         let offsets = Arc::new(offsets);
@@ -1116,7 +1374,7 @@ impl ExpandPool {
             }
             let job = ExpandJob {
                 skyline: Arc::clone(skyline),
-                op,
+                op: step.op,
                 lo,
                 hi,
                 offsets: Arc::clone(&offsets),
@@ -1132,7 +1390,7 @@ impl ExpandPool {
                 Err(_) => break,
             }
         }
-        let mut cands = Vec::with_capacity(total);
+        cands.reserve(total);
         for (w, shard) in shards.into_iter().enumerate() {
             match shard {
                 Some(out) => cands.extend(out),
@@ -1141,12 +1399,11 @@ impl ExpandPool {
                     for k in lo..hi.max(lo) {
                         let pi = parent_of(&offsets, k);
                         let c = k - offsets[pi];
-                        cands.push(sched.dataflow_cand(&skyline[pi], pi, dag, op, xfer, c));
+                        cands.push(sched.dataflow_cand(&skyline[pi], pi, step, c));
                     }
                 }
             }
         }
-        cands
     }
 }
 
@@ -1463,7 +1720,8 @@ mod tests {
                 // The candidate's objectives must match what its
                 // materialization then caches.
                 let xfer = sched.op_xfer(&dag, OpId(i as u32));
-                let cand = sched.dataflow_cand(&p, 0, &dag, OpId(i as u32), &xfer, c);
+                let step = StepOp::new(&sched, &dag, OpId(i as u32), &xfer);
+                let cand = sched.dataflow_cand(&p, 0, &step, c);
                 p = sched.materialize(&p, &cand);
                 assert_eq!(p.money, p.money_quanta(quantum), "round {round} step {i}");
                 assert_eq!(
@@ -1507,7 +1765,8 @@ mod tests {
                     let used = p.container_free.len();
                     let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                     let xfer = sched.op_xfer(&dag, OpId(i as u32));
-                    let cand = sched.dataflow_cand(p, 0, &dag, OpId(i as u32), &xfer, c);
+                    let step = StepOp::new(&sched, &dag, OpId(i as u32), &xfer);
+                    let cand = sched.dataflow_cand(p, 0, &step, c);
                     let q = sched.materialize(p, &cand);
                     assert_eq!(
                         cand.optional_count,
@@ -1528,7 +1787,10 @@ mod tests {
                         },
                     };
                     opt_id += 1;
-                    skyline = sched.offer_optional(&skyline, &opt);
+                    let mut search = Search::new(n);
+                    search.skyline = Arc::new(skyline);
+                    sched.offer_optional(&mut search, &opt);
+                    skyline = Arc::try_unwrap(search.skyline).unwrap();
                 }
                 for p in &skyline {
                     let schedule = p.clone().into_schedule();
@@ -1557,5 +1819,171 @@ mod tests {
         let skyline = sched.schedule(&dag);
         assert_eq!(skyline.len(), 1);
         assert!(skyline[0].is_empty());
+    }
+
+    /// The sort-and-collapse reduction the front-first [`reduce`]
+    /// replaced, kept as its oracle: sort stably by key, collapse each
+    /// key group with the tie-break, keep strictly decreasing money,
+    /// cap the width.
+    ///
+    /// [`reduce`]: SkylineScheduler::reduce
+    fn reduce_sorted(
+        sched: &SkylineScheduler,
+        skyline: &[Partial],
+        mut cands: Vec<Cand>,
+    ) -> Vec<Cand> {
+        let quantum = sched.config.quantum;
+        cands.sort_by_key(|c| (c.makespan, c.money));
+        let mut tops: Vec<Option<IdleTops>> = vec![None; skyline.len()];
+        let mut collapsed: Vec<Cand> = Vec::new();
+        for mut p in cands {
+            match collapsed.last_mut() {
+                Some(last) if last.makespan == p.makespan && last.money == p.money => {
+                    let (pp, pd) = (p.parent, p.delta);
+                    let p_idle = *p.idle.get_or_insert_with(|| {
+                        let t =
+                            *tops[pp].get_or_insert_with(|| IdleTops::of(&skyline[pp], quantum));
+                        sched.cand_idle(t, &skyline[pp], &pd)
+                    });
+                    let (lp, ld) = (last.parent, last.delta);
+                    let last_idle = *last.idle.get_or_insert_with(|| {
+                        let t =
+                            *tops[lp].get_or_insert_with(|| IdleTops::of(&skyline[lp], quantum));
+                        sched.cand_idle(t, &skyline[lp], &ld)
+                    });
+                    let better = match p_idle.cmp(&last_idle) {
+                        std::cmp::Ordering::Greater => true,
+                        std::cmp::Ordering::Less => false,
+                        std::cmp::Ordering::Equal => {
+                            p.skeleton == last.skeleton && p.optional_count > last.optional_count
+                        }
+                    };
+                    if better {
+                        *last = p;
+                    }
+                }
+                _ => collapsed.push(p),
+            }
+        }
+        let mut front: Vec<Cand> = Vec::new();
+        let mut best_money = u64::MAX;
+        for p in collapsed {
+            if p.money < best_money {
+                best_money = p.money;
+                front.push(p);
+            }
+        }
+        let cap = sched.config.max_skyline;
+        if front.len() > cap {
+            if cap <= 1 {
+                front.truncate(cap);
+                return front;
+            }
+            let n = front.len();
+            let keep: Vec<usize> = (0..cap).map(|i| i * (n - 1) / (cap - 1)).collect();
+            front = front
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| keep.contains(i))
+                .map(|(_, p)| p)
+                .collect();
+        }
+        front
+    }
+
+    /// What the reductions must agree on for each survivor.
+    fn survivor_key(c: &Cand) -> (usize, String, SimDuration, u64, u64, usize) {
+        (
+            c.parent,
+            format!("{:?}", c.delta),
+            c.makespan,
+            c.money,
+            c.skeleton,
+            c.optional_count,
+        )
+    }
+
+    #[test]
+    fn front_first_reduction_matches_sort_and_collapse_oracle() {
+        // Seeded random candidate sets over real parents and deltas,
+        // with the keys drawn from a tiny grid so exact key ties,
+        // equal-money/different-makespan pairs and equal skeletons with
+        // different optional counts are all common. Half the
+        // candidates carry a preset tie-break value from a three-value
+        // set (many idle ties, where generation order decides); the
+        // rest compute theirs from the parent. Skyline widths (parents)
+        // and width caps both range over 1..=24.
+        let mut rng = SimRng::seed_from_u64(0xF507);
+        let secs = SimDuration::from_secs;
+        for round in 0..400 {
+            let n = 2 + rng.uniform_u64(0, 10) as usize;
+            let ops: Vec<OpSpec> = (0..n)
+                .map(|i| op(i as u32, rng.uniform_u64(0, 90)))
+                .collect();
+            let edges: Vec<Edge> = (1..n)
+                .map(|i| Edge {
+                    from: OpId(rng.uniform_u64(0, i as u64) as u32),
+                    to: OpId(i as u32),
+                    bytes: rng.uniform_u64(0, 2) * 1_000_000_000,
+                })
+                .collect();
+            let dag = Dag::new(ops, edges).unwrap();
+            let sched = SkylineScheduler::new(SchedulerConfig {
+                max_skyline: 1 + rng.uniform_u64(0, 24) as usize,
+                ..cfg()
+            });
+            // Parents: random assignment prefixes of the DAG.
+            let width = 1 + rng.uniform_u64(0, 24) as usize;
+            let parents: Vec<Partial> = (0..width)
+                .map(|_| {
+                    let mut p = Partial::new(n);
+                    for i in 0..rng.uniform_u64(0, n as u64) as usize {
+                        let c = rng.uniform_u64(0, p.containers_used() as u64 + 1) as usize;
+                        p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), c);
+                    }
+                    p
+                })
+                .collect();
+            let target = OpId(n as u32 - 1);
+            let xfer = sched.op_xfer(&dag, target);
+            let step = StepOp::new(&sched, &dag, target, &xfer);
+            let count = 1 + rng.uniform_u64(0, 160) as usize;
+            let cands: Vec<Cand> = (0..count)
+                .map(|_| {
+                    let pi = rng.uniform_u64(0, width as u64) as usize;
+                    let p = &parents[pi];
+                    let mut c = if rng.uniform_u64(0, 8) == 0 {
+                        Cand {
+                            parent: pi,
+                            delta: Delta::Keep,
+                            makespan: p.makespan,
+                            money: p.money,
+                            skeleton: p.skeleton,
+                            optional_count: p.optional.len(),
+                            idle: None,
+                        }
+                    } else {
+                        let container = rng.uniform_u64(0, p.containers_used() as u64 + 1);
+                        sched.dataflow_cand(p, pi, &step, container as usize)
+                    };
+                    c.makespan = secs(rng.uniform_u64(0, 6));
+                    c.money = rng.uniform_u64(0, 6);
+                    c.skeleton = rng.uniform_u64(0, 3);
+                    c.optional_count = rng.uniform_u64(0, 4) as usize;
+                    if rng.uniform_u64(0, 2) == 0 {
+                        c.idle = Some(secs(rng.uniform_u64(0, 3)));
+                    }
+                    c
+                })
+                .collect();
+            let want = reduce_sorted(&sched, &parents, cands.clone());
+            let mut search = Search::new(n);
+            search.skyline = Arc::new(parents);
+            search.cands = cands;
+            sched.reduce(&mut search);
+            let got: Vec<_> = search.survivors.iter().map(survivor_key).collect();
+            let want: Vec<_> = want.iter().map(survivor_key).collect();
+            assert_eq!(got, want, "round {round}: reductions disagree");
+        }
     }
 }
