@@ -17,6 +17,11 @@ echo "==> cargo build --release --offline"
 cargo build --release --offline
 
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
+# This step gates determinism, ordered iteration and panic hygiene:
+# crates/clippy.toml bans wall clocks, env lookups and hash collections,
+# [workspace.lints.clippy] denies unwrap/expect/panic! outside tests, and
+# every waiver is an #[expect(<lint>, reason = "...")] that fails once
+# it goes stale.
 cargo clippy --offline --all-targets -- -D warnings
 
 echo "==> cargo clippy --offline (e2ebench) -- -D warnings"

@@ -18,8 +18,8 @@
 //! Exit codes: 0 clean (warn-only and baselined findings included),
 //! 1 unbaselined deny findings, 2 I/O or usage error.
 
-use flowtune_analyze::json::{self, Json};
 use flowtune_analyze::{Diagnostic, Severity};
+use flowtune_common::json::{self, Json};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
@@ -135,6 +135,10 @@ fn render_report(findings: &[&Diagnostic], baselined: usize) -> String {
 }
 
 fn run() -> Result<ExitCode, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI argument parsing is this binary's input boundary"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args)?;
     if opts.help {

@@ -5,15 +5,28 @@
 //! `leased_quanta as f64` scattered through the core crates re-opens the
 //! hole newtype-discipline closes. The rule flags the token sequence
 //! `name as <numeric>` where `name` contains a money/time word, in the
-//! core crates (minus `flowtune-common`, which implements the blessed
-//! conversions).
+//! core library crates.
 
 use super::{Emitter, Rule};
 use crate::lexer::TokenKind;
 use crate::rules::newtype::is_quantity_ident;
-use crate::rules::panic_hygiene::CORE_CRATES;
 use crate::scan::{FileKind, SourceFile};
 use crate::workspace::CrateInfo;
+
+/// The shipping library crates the rule protects. `flowtune-common` is
+/// absent: it implements the blessed conversions.
+const CORE_CRATES: &[&str] = &[
+    "flowtune-storage",
+    "flowtune-index",
+    "flowtune-query",
+    "flowtune-dataflow",
+    "flowtune-sched",
+    "flowtune-interleave",
+    "flowtune-cloud",
+    "flowtune-tuner",
+    "flowtune-core",
+    "flowtune-obs",
+];
 
 /// Primitive numeric types an `as` cast can target.
 const NUMERIC_TYPES: &[&str] = &[
@@ -34,10 +47,7 @@ impl Rule for CastDiscipline {
     }
 
     fn check_file(&self, krate: &CrateInfo, file: &SourceFile, em: &mut Emitter<'_>) {
-        if !CORE_CRATES.contains(&krate.name.as_str())
-            || krate.name == "flowtune-common"
-            || file.kind == FileKind::Test
-        {
+        if !CORE_CRATES.contains(&krate.name.as_str()) || file.kind == FileKind::Test {
             return;
         }
         let toks = &file.tokens;

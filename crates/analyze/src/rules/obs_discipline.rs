@@ -20,10 +20,10 @@
 //! line(s) following the opening parenthesis.
 
 use super::{Emitter, Rule};
-use crate::json;
 use crate::lexer::TokenKind;
 use crate::scan::{FileKind, SourceFile};
 use crate::workspace::Workspace;
+use flowtune_common::json;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Root-relative path of the metrics golden the membership check uses.

@@ -36,25 +36,14 @@ fn fixture_findings_match_golden_list() {
         // A raw `as f64` on a quanta ident; the waived cast (line 6)
         // and the #[cfg(test)] cast (line 15) are absent.
         ("crates/cloud/src/billing.rs", 4, "cast-discipline"),
-        // Ambient entropy in the cloud fixture's fault stream; the
-        // waived SystemTime (line 12) and the #[cfg(test)] env lookup
-        // (line 18) are absent.
-        ("crates/cloud/src/fault.rs", 4, "determinism"),
-        ("crates/cloud/src/fault.rs", 8, "determinism"),
-        // The waiver-audit fixture: a stale determinism waiver, a
+        // The waiver-audit fixture: a stale cast-discipline waiver, a
         // typo'd rule name, and a reason-less waiver. The stale
-        // ordered-iteration waiver at line 15 is absent — the
+        // cast-discipline waiver at line 15 is absent — the
         // waiver-audit waiver directly above it suppresses the finding
         // and is thereby used itself.
         ("crates/cloud/src/stale.rs", 3, "waiver-audit"),
         ("crates/cloud/src/stale.rs", 8, "waiver-audit"),
         ("crates/cloud/src/stale.rs", 11, "waiver-audit"),
-        // HashMap import and signature plus an Instant wall clock in the
-        // obs fixture; the waived unwrap (line 16) and the #[cfg(test)]
-        // SystemTime (line 26) are absent.
-        ("crates/obs/src/lib.rs", 5, "ordered-iteration"),
-        ("crates/obs/src/lib.rs", 7, "ordered-iteration"),
-        ("crates/obs/src/lib.rs", 8, "determinism"),
         // Obs naming: a non-snake_case name, a dual-kind recording
         // (observe after count), and a duplicate event emission site.
         // The waived gauge recording (line 8) is absent.
@@ -64,37 +53,18 @@ fn fixture_findings_match_golden_list() {
         // Unused dep and dev-dep in the sched fixture manifest.
         ("crates/sched/Cargo.toml", 7, "dep-hygiene"),
         ("crates/sched/Cargo.toml", 10, "dep-hygiene"),
-        // Wall clock + env lookup; the waived SystemTime line is absent.
-        ("crates/sched/src/lib.rs", 4, "determinism"),
-        ("crates/sched/src/lib.rs", 9, "determinism"),
         // The out-of-line test module fixture
         // (crates/sched/src/equivalence_tests.rs) is wholly absent: its
-        // file-level #![cfg(test)] exempts the HashMap, Instant, and
-        // unwrap inside.
-        //
-        // Cached-state shapes of the incremental skyline search (DESIGN
-        // §5f): a hash-ordered gap cache (import + field) and a
-        // panicking cache fold; the waived cache lookup (line 19) and
-        // the #[cfg(test)] HashMap (line 27) are absent.
-        ("crates/sched/src/skyline.rs", 6, "ordered-iteration"),
-        ("crates/sched/src/skyline.rs", 9, "ordered-iteration"),
-        ("crates/sched/src/skyline.rs", 14, "panic-hygiene"),
+        // file-level #![cfg(test)] exempts the raw money binding and
+        // the quanta cast inside.
         // The composite-candidate metric fixture: a malformed name
         // fires; the waived dual-kind recording of
         // `tuner.composite_candidates` (line 8) is absent.
         ("crates/tuner/src/candidates.rs", 9, "obs-discipline"),
-        // HashMap import, HashMap in a signature, HashSet in a body; the
-        // waived HashSet import (line 6) and the #[cfg(test)] HashMap
-        // (line 28) are absent.
-        ("crates/tuner/src/lib.rs", 4, "ordered-iteration"),
-        ("crates/tuner/src/lib.rs", 8, "ordered-iteration"),
-        // .unwrap() in lib code; the waived .expect (line 14) and the
-        // unwrap inside #[cfg(test)] (line 34) are absent.
-        ("crates/tuner/src/lib.rs", 9, "panic-hygiene"),
         // total_cost: f64 outside flowtune-common; the same shape inside
-        // the flowtune-common fixture produces nothing.
-        ("crates/tuner/src/lib.rs", 17, "newtype-discipline"),
-        ("crates/tuner/src/lib.rs", 22, "ordered-iteration"),
+        // the flowtune-common fixture and the #[cfg(test)] binding
+        // (line 12) produce nothing.
+        ("crates/tuner/src/lib.rs", 4, "newtype-discipline"),
         // A committed golden no test or check-script step reads.
         // flowtune-allow(golden-coverage): fixture-tree path literal, not a reference to a repo golden
         ("tests/golden/orphan.json", 1, "golden-coverage"),
@@ -139,7 +109,7 @@ fn cli_json_is_v1_schema_and_its_output_round_trips_as_baseline() {
         .expect("spawn analyzer CLI");
     assert_eq!(out.status.code(), Some(1), "fixtures have deny findings");
     let text = String::from_utf8(out.stdout).expect("utf8 json");
-    let doc = flowtune_analyze::json::parse(&text).expect("valid json");
+    let doc = flowtune_common::json::parse(&text).expect("valid json");
     assert_eq!(
         doc.get("schema").and_then(|s| s.as_str()),
         Some("flowtune.analyze.v1")
@@ -183,7 +153,7 @@ fn cli_rule_filter_gates_on_the_selected_rule_only() {
         .expect("spawn analyzer CLI");
     assert_eq!(warn_only.code(), Some(0));
     let deny = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .args(["--rule", "determinism"])
+        .args(["--rule", "cast-discipline"])
         .arg(fixture_root())
         .status()
         .expect("spawn analyzer CLI");
@@ -197,18 +167,15 @@ fn cli_rule_filter_gates_on_the_selected_rule_only() {
 }
 
 #[test]
-fn cli_lists_all_ten_rules() {
+fn cli_lists_all_seven_rules() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
         .arg("--list-rules")
         .output()
         .expect("spawn analyzer CLI");
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).expect("utf8");
-    assert_eq!(text.lines().count(), 10, "one line per rule:\n{text}");
+    assert_eq!(text.lines().count(), 7, "one line per rule:\n{text}");
     for rule in [
-        "determinism",
-        "ordered-iteration",
-        "panic-hygiene",
         "newtype-discipline",
         "dep-hygiene",
         "cast-discipline",

@@ -1,13 +1,6 @@
-//! Fixture `flowtune-sched`: determinism violations and a waiver.
+//! Fixture `flowtune-sched`: no source here uses the dependency or the
+//! dev-dependency its manifest declares.
 
 pub fn stamp() -> u64 {
-    let started = std::time::Instant::now();
-    started.elapsed().as_nanos() as u64
+    7
 }
-
-pub fn host() -> Option<String> {
-    std::env::var("FLOWTUNE_FIXTURE_HOST").ok()
-}
-
-// flowtune-allow(determinism): fixture proof that determinism waivers work
-pub const EPOCH: std::time::SystemTime = std::time::SystemTime::UNIX_EPOCH;

@@ -1,36 +1,15 @@
-//! Fixture `flowtune-tuner`: ordered-iteration, panic-hygiene, and
-//! newtype-discipline violations plus waivers and test-region escapes.
-
-use std::collections::HashMap;
-// flowtune-allow(ordered-iteration): fixture proof that waivers suppress findings
-use std::collections::HashSet;
-
-pub fn lookup(m: &HashMap<u32, u32>) -> u32 {
-    *m.get(&0).unwrap()
-}
-
-pub fn waived(v: Option<u32>) -> u32 {
-    // flowtune-allow(panic-hygiene): the fixture caller always passes Some
-    v.expect("fixture invariant")
-}
+//! Fixture `flowtune-tuner`: a newtype-discipline violation plus its
+//! test-region escape.
 
 pub fn pay(total_cost: f64) -> f64 {
     total_cost + flowtune_common::seed() as f64
 }
 
-pub fn dedup(v: &[u32]) -> usize {
-    let s: HashSet<u32> = v.iter().copied().collect();
-    s.len()
-}
-
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     #[test]
     fn test_regions_are_exempt() {
-        let mut m = HashMap::new();
-        m.insert(1u32, 2u32);
-        assert_eq!(*m.get(&1).unwrap(), 2);
+        let total_cost: f64 = 1.0;
+        assert!(total_cost > 0.0);
     }
 }

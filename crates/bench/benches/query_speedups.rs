@@ -1,9 +1,11 @@
 //! Table 6 as a criterion benchmark: the four query classes with and
 //! without a B+Tree index on `lineitem.orderkey`.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_bench::micro::Criterion;
 use flowtune_bench::{criterion_group, criterion_main};

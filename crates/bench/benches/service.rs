@@ -1,9 +1,11 @@
 //! End-to-end service benchmarks: one full tune → schedule → interleave
 //! → execute round, and a short multi-dataflow run per policy.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_bench::micro::{BenchmarkId, Criterion};
 use flowtune_bench::{criterion_group, criterion_main};

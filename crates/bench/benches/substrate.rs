@@ -1,7 +1,7 @@
 //! Substrate micro-benchmarks: the LRU cache, the page checksum and
 //! buffer-pool verification, and the synthetic `lineitem` generator.
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "benchmark setup fails fast on errors")]
 
 use flowtune_bench::micro::{BenchmarkId, Criterion};
 use flowtune_bench::{criterion_group, criterion_main};

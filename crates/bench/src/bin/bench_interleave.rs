@@ -37,6 +37,7 @@
 //! reference implementation was never exercised.
 
 use flowtune_bench::compare::{compare, parse_bench_args, render_json};
+use flowtune_common::json::Json;
 use flowtune_common::{BuildOpId, IndexId, SimDuration, SimRng};
 use flowtune_dataflow::App;
 use flowtune_interleave::{reference, solve_knapsack, BuildOp, LpInterleaver};
@@ -265,7 +266,7 @@ fn main() {
     let json = render_json(
         "flowtune.bench_interleave.v1",
         if smoke { "smoke" } else { "full" },
-        &[("knapsack_items", items.to_string())],
+        &[("knapsack_items", Json::Int(items as i64))],
         &comparisons,
         &[],
     );

@@ -30,6 +30,7 @@
 //! reference implementation was never exercised.
 
 use flowtune_bench::compare::{compare, measure_standalone, parse_bench_args, render_json};
+use flowtune_common::json::Json;
 use flowtune_common::{IndexId, OpId, SimDuration, SimRng};
 use flowtune_dataflow::{App, Dag};
 use flowtune_sched::reference::ReferenceSkylineScheduler;
@@ -217,7 +218,7 @@ fn main() {
     let json = render_json(
         "flowtune.bench_sched.v1",
         if smoke { "smoke" } else { "full" },
-        &[("dag_ops", ops.to_string())],
+        &[("dag_ops", Json::Int(ops as i64))],
         &comparisons,
         &standalone,
     );

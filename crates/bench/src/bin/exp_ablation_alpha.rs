@@ -7,9 +7,11 @@
 //! evaluated against a No-Index baseline of the same seed) is reported
 //! for each α.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{paired_objective, IndexPolicy, QaasService, ServiceConfig};

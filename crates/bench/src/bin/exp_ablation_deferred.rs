@@ -11,9 +11,11 @@
 //!    partitioned builds are deliberately small enough to fit slots (the
 //!    paper's core premise), so deferral is expected to change nothing.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_common::{BuildOpId, IndexId, Money, SimDuration};
 use flowtune_core::tablefmt::render_table;

@@ -16,9 +16,11 @@
 //! `--smoke` shrinks the horizon and the rate grids for CI; set
 //! `FLOWTUNE_QUANTA` to override the full-run horizon.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_cloud::FaultConfig;
 use flowtune_core::tablefmt::render_table;

@@ -10,9 +10,11 @@
 //! Uses CyberShake, as the paper does ("results are similar for the
 //! other dataflows").
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_common::{ExperimentParams, SimRng};
 use flowtune_core::experiment::ExperimentSetup;

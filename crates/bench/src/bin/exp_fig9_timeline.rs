@@ -5,9 +5,11 @@
 //! Prints an ASCII timeline: one row per container, `#` for dataflow
 //! operators, `+` for build operators, `.` for idle leased time.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_common::{BuildOpId, ExperimentParams, IndexId, SimDuration, SimRng, SimTime};
 use flowtune_core::experiment::ExperimentSetup;

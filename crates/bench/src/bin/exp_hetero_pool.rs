@@ -6,9 +6,11 @@
 //! fronts: a mixed pool stretches the front at *both* ends — faster
 //! fastest schedules and cheaper cheapest schedules.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_common::{Money, SimDuration, SimRng};
 use flowtune_core::tablefmt::render_table;

@@ -18,7 +18,7 @@ const PAPER: [(&str, f64, f64); 4] = [
     ("orderkey", 146.99, 10.49),
 ];
 
-fn main() {
+fn main() -> Result<(), String> {
     let _obs = flowtune_bench::obs_guard();
     flowtune_bench::banner("Table 5", "indexes on table lineitem (SF 2, ~12 M rows)");
     let schema = LineitemGenerator::schema();
@@ -47,7 +47,7 @@ fn main() {
     for &(column, paper_mb, paper_pct) in columns {
         let key_bytes = schema
             .column(column)
-            .unwrap_or_else(|| panic!("missing column {column}"))
+            .ok_or_else(|| format!("missing column {column}"))?
             .ty
             .avg_value_bytes();
         let model = IndexCostModel::new(key_bytes + 8.0, table_rec);
@@ -61,4 +61,5 @@ fn main() {
         ]);
     }
     print!("{}", render_table(&rows));
+    Ok(())
 }

@@ -13,9 +13,11 @@
 //! by `tests/golden/table6_composite_smoke.txt`. The full run repeats
 //! the matrix at a larger table and adds measured wall times.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_bench::table6_composite::{build_report, lineitem_table, query_classes, SMOKE_ROWS};
 use flowtune_index::IndexKind;

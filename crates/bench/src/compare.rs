@@ -5,11 +5,13 @@
 //! pre-optimization reference in the same process and serialize the
 //! paired rows into a committed `BENCH_*.json` (schemas
 //! `flowtune.bench_sched.v1` / `flowtune.bench_interleave.v1`,
-//! documented field-by-field in `EXPERIMENTS.md`). The JSON layout is
-//! deliberately identical across schemas so `tests/bench_baselines.rs`
-//! can enforce speedup bars on either file with one parser.
+//! documented field-by-field in `EXPERIMENTS.md`). Both documents are
+//! `flowtune_common::json` values in its canonical rendering, with the
+//! same layout across schemas, so `tests/bench_baselines.rs` can enforce
+//! speedup bars on either file with the same parser.
 
 use crate::micro::{run_captured, BenchStats};
+use flowtune_common::json::Json;
 
 /// One optimized-vs-reference pairing of [`BenchStats`] rows.
 #[derive(Debug)]
@@ -98,29 +100,29 @@ pub fn measure_standalone<F>(
     }
 }
 
-fn json_f64(v: f64) -> String {
-    format!("{v:.1}")
+/// `v` rounded to `decimals` places, as the baselines record it.
+fn rounded(v: f64, decimals: usize) -> Json {
+    Json::Float(format!("{v:.decimals$}").parse().unwrap_or(v))
 }
 
-fn stats_json(s: &BenchStats) -> String {
-    format!(
-        "    {{\"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"samples\": {}}}",
-        s.name,
-        json_f64(s.median_ns),
-        json_f64(s.min_ns),
-        json_f64(s.max_ns),
-        s.samples
-    )
+fn stats_json(s: &BenchStats) -> Json {
+    Json::Obj(vec![
+        ("name".into(), Json::Str(s.name.clone())),
+        ("median_ns".into(), rounded(s.median_ns, 1)),
+        ("min_ns".into(), rounded(s.min_ns, 1)),
+        ("max_ns".into(), rounded(s.max_ns, 1)),
+        ("samples".into(), Json::Int(s.samples as i64)),
+    ])
 }
 
 /// Render the `BENCH_*.json` document: schema and mode, any
-/// schema-specific scalar fields (`extra`, emitted in order as raw
-/// JSON values), all stats rows (paired rows first, then standalone
-/// optimized-only rows), and the paired comparisons.
+/// schema-specific scalar fields (`extra`, emitted in order), all stats
+/// rows (paired rows first, then standalone optimized-only rows), and
+/// the paired comparisons.
 pub fn render_json(
     schema: &str,
     mode: &str,
-    extra: &[(&str, String)],
+    extra: &[(&str, Json)],
     comparisons: &[Comparison],
     standalone: &[BenchStats],
 ) -> String {
@@ -129,26 +131,28 @@ pub fn render_json(
     for c in comparisons {
         benchmarks.push(stats_json(&c.optimized));
         benchmarks.push(stats_json(&c.reference));
-        comps.push(format!(
-            "    {{\"name\": \"{}\", \"optimized_median_ns\": {}, \"reference_median_ns\": {}, \"speedup\": {:.2}}}",
-            c.name,
-            json_f64(c.optimized.median_ns),
-            json_f64(c.reference.median_ns),
-            c.speedup()
-        ));
+        comps.push(Json::Obj(vec![
+            ("name".into(), Json::Str(c.name.clone())),
+            (
+                "optimized_median_ns".into(),
+                rounded(c.optimized.median_ns, 1),
+            ),
+            (
+                "reference_median_ns".into(),
+                rounded(c.reference.median_ns, 1),
+            ),
+            ("speedup".into(), rounded(c.speedup(), 2)),
+        ]));
     }
-    for s in standalone {
-        benchmarks.push(stats_json(s));
-    }
-    let extra_fields: String = extra
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v},\n"))
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"mode\": \"{mode}\",\n{extra_fields}  \"benchmarks\": [\n{}\n  ],\n  \"comparisons\": [\n{}\n  ]\n}}\n",
-        benchmarks.join(",\n"),
-        comps.join(",\n"),
-    )
+    benchmarks.extend(standalone.iter().map(stats_json));
+    let mut doc = vec![
+        ("schema".into(), Json::Str(schema.to_owned())),
+        ("mode".into(), Json::Str(mode.to_owned())),
+    ];
+    doc.extend(extra.iter().map(|(k, v)| ((*k).to_owned(), v.clone())));
+    doc.push(("benchmarks".into(), Json::Arr(benchmarks)));
+    doc.push(("comparisons".into(), Json::Arr(comps)));
+    format!("{}\n", Json::Obj(doc).render())
 }
 
 /// Parse `--smoke` / `--out <path>` from the argument list; returns

@@ -94,6 +94,10 @@ fn to_i64(col: &ColumnData) -> Vec<i64> {
         // Lineitem quantities are integral floats (uniform 1..51).
         ColumnData::F64(v) => v.iter().map(|&x| x as i64).collect(),
         ColumnData::Date(v) => v.iter().map(|&x| i64::from(x)).collect(),
+        #[expect(
+            clippy::panic,
+            reason = "COLS names only numeric lineitem columns, so no string column reaches here"
+        )]
         ColumnData::Str(_) => panic!("string columns cannot key a composite index"),
     }
 }
@@ -179,8 +183,10 @@ fn execute(
 ) -> (String, ExecResult) {
     match plan.index {
         Some(i) => {
-            // The planner only picks indexes that serve the query.
-            #[allow(clippy::expect_used)]
+            #[allow(
+                clippy::expect_used,
+                reason = "the planner only picks indexes that serve the query"
+            )]
             let r = composite_select(&trees[i], &defs[i], query, table)
                 .expect("planner-chosen index serves the query");
             (cols_label(&defs[i].columns), r)
@@ -196,7 +202,10 @@ fn sorted_rows(r: &ExecResult) -> Vec<u32> {
 }
 
 /// Build the deterministic report at `rows` table rows.
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "one straight-line assembly of the report sections"
+)]
 pub fn build_report(rows: usize) -> CompositeReport {
     let table = lineitem_table(rows);
     let classes = query_classes();
@@ -206,8 +215,10 @@ pub fn build_report(rows: usize) -> CompositeReport {
         distinct: COLS
             .iter()
             .map(|c| {
-                // COLS are exactly the materialized columns.
-                #[allow(clippy::expect_used)]
+                #[allow(
+                    clippy::expect_used,
+                    reason = "COLS are exactly the materialized columns"
+                )]
                 let vals = table.column(c).expect("predicate column materialized");
                 let d = vals.iter().collect::<BTreeSet<_>>().len() as u64;
                 ((*c).to_owned(), d)

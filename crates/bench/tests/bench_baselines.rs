@@ -12,11 +12,14 @@
 //! The smoke-mode runs in `ci/check.sh` exercise the harness itself;
 //! only the committed full-mode files carry bars.
 
-// Test helpers assert freely (clippy's in-test detection misses
-// non-#[test] helper fns in integration tests).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers assert freely; clippy's in-test detection misses non-#[test] helper fns in integration tests"
+)]
 
-use flowtune_analyze::json::{parse, Json};
+use flowtune_common::json::{parse, Json};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -34,14 +37,6 @@ fn load(name: &str) -> Json {
     parse(&text).unwrap_or_else(|e| panic!("{name} is not valid JSON: {e}"))
 }
 
-fn as_num(v: &Json) -> Option<f64> {
-    match v {
-        Json::Int(n) => Some(*n as f64),
-        Json::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
 /// The `speedup` field of the comparison row with this name.
 fn speedup(doc: &Json, name: &str) -> f64 {
     let comps = doc
@@ -52,7 +47,9 @@ fn speedup(doc: &Json, name: &str) -> f64 {
         .iter()
         .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
         .unwrap_or_else(|| panic!("no comparison row named `{name}`"));
-    as_num(row.get("speedup").expect("speedup field")).expect("numeric speedup")
+    row.get("speedup")
+        .and_then(Json::as_f64)
+        .expect("numeric speedup")
 }
 
 fn assert_full_mode(doc: &Json, file: &str, schema: &str) {

@@ -5,7 +5,11 @@
 //! multi-predicate class, and leftmost-prefix subsumption never keeps
 //! both `(a)` and `(a, b)`.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers assert freely; clippy's in-test detection misses non-#[test] helper fns in integration tests"
+)]
 
 use flowtune_bench::table6_composite::{build_report, CompositeReport, SMOKE_ROWS};
 use std::path::{Path, PathBuf};

@@ -29,7 +29,10 @@ fn faulted_run(workload_seed: u64, fault_rate: f64, fault_seed: u64) -> String {
     let sim = Simulator::new(CloudConfig::default(), &db);
     let plan = FaultPlan::new(FaultConfig::with_rate(fault_rate, fault_seed));
     let mut injector = plan.injector(0, 0);
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "test helper; clippy's in-test detection misses non-#[test] helper fns in integration tests"
+    )]
     let report = sim
         .execute_with_faults(
             &df.dag,

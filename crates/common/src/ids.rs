@@ -6,6 +6,16 @@
 
 use std::fmt;
 
+/// The checked `usize → u32` conversion behind every `from_index`
+/// (panics on overflow).
+#[expect(
+    clippy::expect_used,
+    reason = "documented contract: entity counts in the simulation fit in u32"
+)]
+fn index_to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("id overflow")
+}
+
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
@@ -20,8 +30,7 @@ macro_rules! define_id {
 
             /// Construct from a `usize` index (panics on overflow).
             pub fn from_index(i: usize) -> Self {
-                // flowtune-allow(panic-hygiene): documented contract: entity counts in the simulation fit in u32
-                $name(u32::try_from(i).expect("id overflow"))
+                $name(index_to_u32(i))
             }
         }
 

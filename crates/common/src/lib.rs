@@ -11,10 +11,16 @@
 //! kept as integer milliseconds and money as integer micro-dollars so that
 //! simulations are exactly reproducible across runs and platforms.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "hash collections here never reach schedules, costs or reports, the output the ban protects"
+)]
+
 pub mod config;
 pub mod error;
 pub mod histogram;
 pub mod ids;
+pub mod json;
 pub mod money;
 pub mod pricing;
 pub mod rng;

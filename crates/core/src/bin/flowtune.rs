@@ -6,9 +6,11 @@
 //! flowtune --policy no-index --workload random --quanta 120 --csv
 //! ```
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use std::process::ExitCode;
 
@@ -85,7 +87,10 @@ fn parse_args() -> Result<(ServiceConfig, bool, ObsOutputs), String> {
     };
     let mut csv = false;
     let mut obs = ObsOutputs::default();
-    // flowtune-allow(determinism): CLI argument parsing is this binary's input boundary
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI argument parsing is this binary's input boundary"
+    )]
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {

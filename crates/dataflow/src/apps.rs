@@ -174,8 +174,10 @@ impl Builder {
                 ops[i % n_ops].reads.push(reads[i % reads.len()]);
             }
         }
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): edges only connect ops this generator just created, earlier to later
+        #[expect(
+            clippy::expect_used,
+            reason = "edges only connect ops this generator just created, earlier to later"
+        )]
         Dag::new(ops, self.edges).expect("generator produced invalid DAG")
     }
 }

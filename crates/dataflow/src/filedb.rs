@@ -156,10 +156,12 @@ impl FileDatabase {
     /// Deterministic per file, spread across the four columns.
     pub fn primary_index_of(&self, file: FileId) -> &PotentialIndex {
         let pick = (file.0 as usize).wrapping_mul(2654435761) % INDEX_COLUMNS.len();
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "indexes_of yields one entry per INDEX_COLUMNS and pick < its length"
+        )]
         self.indexes_of(file)
             .nth(pick)
-            // flowtune-allow(panic-hygiene): indexes_of yields one entry per INDEX_COLUMNS and pick < its length
             .expect("every file has four indexes")
     }
 

@@ -16,6 +16,11 @@
 //! indexes per file) and the **arrival clients** (Poisson arrivals;
 //! random or phased application mix).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "hash collections here never reach schedules, costs or reports, the output the ban protects"
+)]
+
 pub mod apps;
 pub mod client;
 pub mod dag;

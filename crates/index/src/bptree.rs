@@ -74,8 +74,10 @@ impl NodeKey for u64 {
 
 impl NodeKey for String {
     fn encode_key(&self, out: &mut Vec<u8>) {
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): string keys longer than a page cannot be stored at all; the length check in store_node rejects the node first
+        #[expect(
+            clippy::expect_used,
+            reason = "string keys longer than a page cannot be stored at all; the length check in store_node rejects the node first"
+        )]
         let len = u16::try_from(self.len()).expect("string key fits a page");
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(self.as_bytes());
@@ -130,12 +132,14 @@ enum Node<K> {
 ///
 /// Leaf payload: `n: u16 | next: u32 | n × row: u32 | n × key`.
 /// Internal payload: `n: u16 | (n+1) × child: u32 | n × key`.
+#[expect(
+    clippy::expect_used,
+    reason = "node arity is bounded by the tree order, which store_node caps far below u16::MAX"
+)]
 fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
     let mut out = Vec::new();
     match node {
         Node::Leaf { keys, rows, next } => {
-            #[allow(clippy::expect_used)]
-            // flowtune-allow(panic-hygiene): node arity is bounded by the tree order, which store_node caps far below u16::MAX
             let n = u16::try_from(keys.len()).expect("leaf arity fits u16");
             out.extend_from_slice(&n.to_le_bytes());
             out.extend_from_slice(&next.map_or(NO_PAGE, |p| p.0).to_le_bytes());
@@ -148,8 +152,6 @@ fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
             (KIND_LEAF, out)
         }
         Node::Internal { keys, children } => {
-            #[allow(clippy::expect_used)]
-            // flowtune-allow(panic-hygiene): node arity is bounded by the tree order, which store_node caps far below u16::MAX
             let n = u16::try_from(keys.len()).expect("internal arity fits u16");
             out.extend_from_slice(&n.to_le_bytes());
             for child in children {
@@ -323,20 +325,20 @@ impl<K: NodeKey> BPlusTree<K> {
 
     /// Decode the node stored at `id`, serving a shared handle from
     /// the decoded-node memo when possible.
+    #[expect(
+        clippy::expect_used,
+        reason = "the tree owns its private page store; a page it wrote failing read or decode is memory corruption, unrecoverable at this layer (external corruption is surfaced as a typed error by verify_pages, which recovery runs *before* serving queries)"
+    )]
     fn load(&self, id: PageId) -> Rc<Node<K>> {
         if let Some(node) = self.memo.borrow().get(&id) {
             self.memo_hits.set(self.memo_hits.get() + 1);
             return Rc::clone(node);
         }
-        #[allow(clippy::expect_used)]
         let page = self
             .pool
             .borrow_mut()
             .read(id)
-            // flowtune-allow(panic-hygiene): the tree owns its private page store; a page it wrote failing read/decode is memory corruption, unrecoverable at this layer (external corruption is surfaced as a typed error by verify_pages, which recovery runs *before* serving queries)
             .expect("tree-owned page must read back cleanly");
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): same invariant as above — pages this tree wrote decode by construction
         let node = Rc::new(decode_node(&page).expect("tree-owned page must decode"));
         self.memo_node(id, Rc::clone(&node));
         node
@@ -360,9 +362,11 @@ impl<K: NodeKey> BPlusTree<K> {
     /// Encode and persist a node to its page, refreshing the memo.
     fn store_node(&self, id: PageId, node: &Node<K>) {
         let (kind, payload) = encode_node(node);
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "an encoded node exceeding one page means the configured order is too large for the key width — a construction-time configuration error, not a runtime condition; every supported (order, key type) pair is pinned by tests"
+        )]
         let page = Page::new(kind, self.epoch, payload)
-            // flowtune-allow(panic-hygiene): an encoded node exceeding one page means the configured order is too large for the key width — a construction-time configuration error, not a runtime condition; every supported (order, key type) pair is pinned by tests
             .expect("node must fit one page: order too large for this key type");
         self.pool.borrow_mut().write(id, page);
         self.memo_node(id, Rc::new(node.clone()));
@@ -533,8 +537,10 @@ impl<K: NodeKey> BPlusTree<K> {
         let new_id = self.pool.borrow_mut().allocate();
         let mid = keys.len() / 2;
         let right_keys: Vec<K> = keys.split_off(mid + 1);
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): split is only called on overfull nodes, so mid >= 1 keys remain
+        #[expect(
+            clippy::expect_used,
+            reason = "split is only called on overfull nodes, so mid >= 1 keys remain"
+        )]
         let sep = keys.pop().expect("internal node must have a middle key");
         let right_children: Vec<PageId> = children.split_off(mid + 1);
         self.store_node(

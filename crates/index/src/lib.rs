@@ -11,6 +11,11 @@
 //! build operator. This is what lets builds fit in idle schedule slots
 //! and proceed incrementally and in parallel.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "hash collections here never reach schedules, costs or reports, the output the ban protects"
+)]
+
 pub mod bptree;
 pub mod catalog;
 pub mod hash;

@@ -113,8 +113,10 @@ impl IndexPageStore {
     /// Returns the torn page id.
     pub fn write_partition_torn(&mut self, index: IndexId, part: u32, bytes: u64) -> PageId {
         let (_, pages) = self.write_image(index, part, bytes);
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): write_image always lays down at least one page
+        #[expect(
+            clippy::expect_used,
+            reason = "write_image always lays down at least one page"
+        )]
         let victim = *pages.last().expect("image has at least one page");
         self.pool.store_mut().corrupt(victim, PAGE_SIZE / 2);
         self.pool.evict(victim);
@@ -241,8 +243,10 @@ impl IndexPageStore {
             payload.extend_from_slice(&z.to_le_bytes());
         }
         debug_assert!(payload.len() <= PAGE_PAYLOAD);
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): 512-byte payload is far below PAGE_PAYLOAD
+        #[expect(
+            clippy::expect_used,
+            reason = "512-byte payload is far below PAGE_PAYLOAD"
+        )]
         Page::new(IMAGE_KIND, epoch, payload).expect("image payload fits a page")
     }
 }

@@ -132,8 +132,10 @@ impl TupleKey {
 
 impl NodeKey for TupleKey {
     fn encode_key(&self, out: &mut Vec<u8>) {
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): arity is asserted ≤ MAX_TUPLE_ARITY at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "arity is asserted ≤ MAX_TUPLE_ARITY at construction"
+        )]
         let n = u8::try_from(self.parts.len()).expect("tuple arity fits u8");
         out.push(n);
         for part in &self.parts {

@@ -59,7 +59,10 @@ impl LpInterleaver {
             chosen.sort_by(|a, b| b.gain.total_cmp(&a.gain));
             let mut cursor = slot.start;
             for op in &chosen {
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the knapsack capacity equals the slot, so chosen ops fit it"
+                )]
                 schedule
                     .try_insert_build(
                         slot.container,
@@ -69,7 +72,6 @@ impl LpInterleaver {
                         op.build,
                         self.quantum,
                     )
-                    // flowtune-allow(panic-hygiene): the knapsack capacity equals the slot, so chosen ops fit it
                     .expect("knapsack-chosen ops must fit their slot");
                 cursor += op.duration;
             }

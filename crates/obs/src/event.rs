@@ -2,13 +2,16 @@
 //!
 //! An [`Event`] is one record of the trace: a sim-time stamp, a stable
 //! event kind (dot-separated, `layer.what`), and an ordered list of
-//! `(key, value)` fields. Rendering is a hand-rolled JSON writer so the
+//! `(key, value)` fields. Rendering is a compact one-line layout over the
+//! shared `flowtune_common::json` string and float writers, so the
 //! workspace stays zero-dependency (DESIGN §7) and the byte output is a
 //! pure function of the recorded values: keys keep insertion order,
 //! floats render via Rust's shortest-round-trip formatter, and nothing
 //! ever consults a wall clock or a hash map.
 
 use std::fmt::Write as _;
+
+use flowtune_common::json::{push_f64, push_str};
 
 /// A field value: the closed set of types events may carry.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,10 +96,10 @@ impl Event {
         // Writing to a String cannot fail; ignore the fmt plumbing.
         let _ = write!(out, "{}", self.at_ms);
         out.push_str(",\"kind\":");
-        push_json_str(&mut out, self.kind);
+        push_str(&mut out, self.kind);
         for (key, value) in &self.fields {
             out.push(',');
-            push_json_str(&mut out, key);
+            push_str(&mut out, key);
             out.push(':');
             push_json_value(&mut out, value);
         }
@@ -114,40 +117,10 @@ pub(crate) fn push_json_value(out: &mut String, value: &Value) {
         Value::I64(v) => {
             let _ = write!(out, "{v}");
         }
-        Value::F64(v) => push_json_f64(out, *v),
-        Value::Str(s) => push_json_str(out, s),
+        Value::F64(v) => push_f64(out, *v),
+        Value::Str(s) => push_str(out, s),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
-}
-
-/// Append a float. Finite values use the shortest representation that
-/// round-trips (`{:?}`), which is platform-independent; NaN/±inf have no
-/// JSON spelling and become `null`.
-pub(crate) fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Append a JSON string literal with escaping.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -173,21 +146,23 @@ mod tests {
         );
     }
 
+    // The trace and metrics goldens pin these exact bytes from the
+    // shared writers.
     #[test]
     fn strings_are_escaped() {
         let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
+        push_str(&mut out, "a\"b\\c\nd\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]
     fn nonfinite_floats_are_null() {
         let mut out = String::new();
-        push_json_f64(&mut out, f64::NAN);
+        push_f64(&mut out, f64::NAN);
         out.push(',');
-        push_json_f64(&mut out, f64::INFINITY);
+        push_f64(&mut out, f64::INFINITY);
         out.push(',');
-        push_json_f64(&mut out, 1.25e-7);
+        push_f64(&mut out, 1.25e-7);
         assert_eq!(out, "null,null,1.25e-7");
     }
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use flowtune_common::stats::{percentile_sorted, OnlineStats};
 
-use crate::event::{push_json_f64, push_json_str};
+use flowtune_common::json::{push_f64, push_str};
 
 /// A recorded distribution: running moments plus the raw samples (kept
 /// so percentiles are exact, not approximated).
@@ -56,17 +56,17 @@ impl Distribution {
         out.push_str(",\"nan_count\":");
         out.push_str(&self.nan_count.to_string());
         out.push_str(",\"mean\":");
-        push_json_f64(out, self.stats.mean());
+        push_f64(out, self.stats.mean());
         out.push_str(",\"min\":");
-        push_json_f64(out, self.stats.min());
+        push_f64(out, self.stats.min());
         out.push_str(",\"max\":");
-        push_json_f64(out, self.stats.max());
+        push_f64(out, self.stats.max());
         for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
             out.push_str(",\"");
             out.push_str(label);
             out.push_str("\":");
             match percentile_sorted(&sorted, q) {
-                Some(v) => push_json_f64(out, v),
+                Some(v) => push_f64(out, v),
                 None => out.push_str("null"),
             }
         }
@@ -127,7 +127,7 @@ impl MetricsRegistry {
         for (i, (name, v)) in self.counters.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            push_json_str(&mut out, name);
+            push_str(&mut out, name);
             out.push_str(": ");
             out.push_str(&v.to_string());
         }
@@ -138,9 +138,9 @@ impl MetricsRegistry {
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            push_json_str(&mut out, name);
+            push_str(&mut out, name);
             out.push_str(": ");
-            push_json_f64(&mut out, *v);
+            push_f64(&mut out, *v);
         }
         if !self.gauges.is_empty() {
             out.push_str("\n  ");
@@ -149,7 +149,7 @@ impl MetricsRegistry {
         for (i, (name, d)) in self.distributions.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            push_json_str(&mut out, name);
+            push_str(&mut out, name);
             out.push_str(": ");
             d.render(&mut out);
         }

@@ -17,6 +17,11 @@
 //! | Grouping     | sort-based grouping        | B+Tree ordered grouping       |
 //! | Join         | nested loops / sort-merge  | merge join over two B+Trees   |
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "hash collections here never reach schedules, costs or reports, the output the ban protects"
+)]
+
 //!
 //! Multi-predicate queries ride on composite indexes: `composite`
 //! plans them (leftmost-prefix rule, covering detection), `multi`

@@ -48,6 +48,10 @@ impl SpeedupRow {
 /// Selectivities mirror the paper at SF 2 (12 M rows, orderkeys to
 /// ~3 M): the large range covers 1/12 of the key domain, the small range
 /// 1/1200, the lookup a single key.
+#[expect(
+    clippy::expect_used,
+    reason = "the lineitem schema types orderkey as i64, and rows >= 1 is the documented contract"
+)]
 pub fn measure_table6(rows: usize, seed: u64, runs: usize) -> Vec<SpeedupRow> {
     let gen = LineitemGenerator::new(LineitemParams {
         rows,
@@ -55,8 +59,6 @@ pub fn measure_table6(rows: usize, seed: u64, runs: usize) -> Vec<SpeedupRow> {
         lines_per_order: 4,
     });
     let data = gen.generate_columns(&["orderkey"]);
-    #[allow(clippy::expect_used)]
-    // flowtune-allow(panic-hygiene): the lineitem schema types orderkey as i64
     let col = data.column(0).as_i64().expect("orderkey is i64").to_vec();
 
     let mut pairs: Vec<(i64, u32)> = col
@@ -70,8 +72,6 @@ pub fn measure_table6(rows: usize, seed: u64, runs: usize) -> Vec<SpeedupRow> {
     // ~80% empty at the default order — fewer page loads per scan.
     let index = BPlusTree::bulk_build(256, &pairs);
 
-    #[allow(clippy::expect_used)]
-    // flowtune-allow(panic-hygiene): rows >= 1 is the documented contract of measure_table6
     let max_key = *col.iter().max().expect("non-empty table");
     let large = (max_key / 12, max_key / 6);
     let small_width = (max_key / 1200).max(1);

@@ -15,6 +15,11 @@
 //!   values, used by `flowtune-query` and `flowtune-index` to *measure*
 //!   real index speedups (Table 6) instead of assuming them.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "hash collections here never reach schedules, costs or reports, the output the ban protects"
+)]
+
 pub mod cache;
 pub mod column;
 pub mod lineitem;

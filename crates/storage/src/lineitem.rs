@@ -121,9 +121,12 @@ impl LineitemGenerator {
         let columns = names
             .iter()
             .map(|name| {
+                #[expect(
+                    clippy::panic,
+                    reason = "documented contract: callers request schema column names"
+                )]
                 let idx = schema
                     .index_of(name)
-                    // flowtune-allow(panic-hygiene): documented contract: callers request schema column names
                     .unwrap_or_else(|| panic!("unknown lineitem column {name:?}"));
                 self.generate_column(name, &mut streams[idx])
             })
@@ -193,7 +196,10 @@ impl LineitemGenerator {
                     .collect(),
             ),
             "comment" => ColumnData::Str((0..n).map(|_| comment_text(rng)).collect()),
-            // flowtune-allow(panic-hygiene): documented contract: generate_column takes schema column names
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: generate_column takes schema column names"
+            )]
             other => panic!("unknown lineitem column {other:?}"),
         }
     }

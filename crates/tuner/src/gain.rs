@@ -65,8 +65,10 @@ impl GainModel {
         vm_price: Money,
         storage_price: Money,
     ) -> Self {
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): documented contract: new panics on invalid tuner parameters
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: new panics on invalid tuner parameters"
+        )]
         tuner.validate().expect("invalid tuner configuration");
         GainModel {
             tuner,

@@ -6,9 +6,11 @@
 //! cargo run --release -p flowtune-core --example cost_explorer
 //! ```
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_core::{paired_objective, IndexPolicy, QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;

@@ -2,9 +2,11 @@
 //! crates (workload generation → tuning → scheduling → interleaving →
 //! simulation → accounting).
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_common::Money;
 use flowtune_core::{IndexPolicy, QaasService, RunReport, ServiceConfig};

@@ -2,9 +2,11 @@
 //! per-index fading and deferred batch builds, plus the α trade-off and
 //! the Eq. 1 objective.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_core::{paired_objective, IndexPolicy, QaasService, RunReport, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;

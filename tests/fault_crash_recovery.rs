@@ -17,9 +17,11 @@
 //! cargo test -p flowtune-core --test fault_crash_recovery -- --ignored --nocapture regen_golden
 //! ```
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use std::fmt::Write as _;
 

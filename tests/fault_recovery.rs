@@ -7,9 +7,11 @@
 //!   dataflows at a lower cost-per-dataflow than NoRetry (the
 //!   `exp_fault_matrix` acceptance criterion).
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_cloud::FaultConfig;
 use flowtune_core::{

@@ -14,9 +14,11 @@
 //! The smoke configuration mirrors the CLI invocation in `ci/check.sh`:
 //! `flowtune --quanta 4 --seed 1 --concurrency 1`.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment, bench and example code fails fast on setup errors"
+)]
 
 use flowtune_core::{QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
